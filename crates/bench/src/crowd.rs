@@ -39,7 +39,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 
 use hbr_core::fleet::FleetBuilder;
@@ -357,6 +357,90 @@ struct ResumeState {
     fleet: FleetLog,
 }
 
+/// The epoch barrier the crowd workers meet at, which a panicking
+/// worker poisons: the others then panic out of [`EpochBarrier::wait`]
+/// instead of waiting for it for ever, and `thread::scope` carries the
+/// panic to the caller. (`std::sync::Barrier` cannot be poisoned, so
+/// one worker's panic used to hang the whole run.)
+struct EpochBarrier {
+    workers: usize,
+    state: Mutex<BarrierState>,
+    all_arrived: Condvar,
+}
+
+#[derive(Default)]
+struct BarrierState {
+    arrived: usize,
+    /// Completed rounds: a waiter is released when this moves on.
+    round: u64,
+    poisoned: bool,
+}
+
+impl EpochBarrier {
+    fn new(workers: usize) -> Self {
+        EpochBarrier {
+            workers,
+            state: Mutex::new(BarrierState::default()),
+            all_arrived: Condvar::new(),
+        }
+    }
+
+    /// The state, whatever a panicking holder left behind: every update
+    /// below leaves it consistent, and the panics here drop the guard
+    /// first.
+    fn state(&self) -> std::sync::MutexGuard<'_, BarrierState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until every worker has arrived; returns `true` for exactly
+    /// one of them (the leader).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker panicked before or while this one waited.
+    fn wait(&self) -> bool {
+        let mut state = self.state();
+        if !state.poisoned {
+            state.arrived += 1;
+            if state.arrived == self.workers {
+                state.arrived = 0;
+                state.round += 1;
+                self.all_arrived.notify_all();
+                return true;
+            }
+            let round = state.round;
+            while state.round == round && !state.poisoned {
+                state = self
+                    .all_arrived
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            if state.round != round {
+                return false;
+            }
+        }
+        drop(state);
+        panic!("another crowd worker panicked; abandoning the epoch barrier");
+    }
+
+    /// Arms a guard that poisons the barrier if the worker holding it
+    /// unwinds.
+    fn poison_on_panic(&self) -> PoisonOnPanic<'_> {
+        PoisonOnPanic(self)
+    }
+}
+
+struct PoisonOnPanic<'a>(&'a EpochBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.state().poisoned = true;
+            self.0.all_arrived.notify_all();
+        }
+    }
+}
+
 fn run_crowd_inner(
     config: &CrowdConfig,
     profiler: Option<&Profiler>,
@@ -425,7 +509,7 @@ fn run_crowd_inner(
     // leave below the requested shard count.
     let chunk = cell_count.div_ceil(shards);
     let workers = cell_count.div_ceil(chunk);
-    let barrier = Barrier::new(workers);
+    let barrier = EpochBarrier::new(workers);
     thread::scope(|scope| {
         for (chunk_index, worker_cells) in cells.chunks_mut(chunk).enumerate() {
             let base = chunk_index * chunk;
@@ -440,6 +524,7 @@ fn run_crowd_inner(
             let completed = &completed;
             let staged = &staged;
             scope.spawn(move || {
+                let _poison = barrier.poison_on_panic();
                 // Per-epoch deltas of the engine's monotone scheduled
                 // counter give the profiler its events/sec numerator.
                 let mut last_events = vec![0u64; worker_cells.len()];
@@ -475,7 +560,7 @@ fn run_crowd_inner(
                         pulses.lock().expect("pulse lock")[base + offset] = scenario.pulse();
                     }
                     let stall_start = profiler.map(|p| p.elapsed_us());
-                    let folded = barrier.wait().is_leader();
+                    let folded = barrier.wait();
                     if let (Some(p), Some(start)) = (profiler, stall_start) {
                         p.record_stall(
                             epoch as u32,
@@ -603,7 +688,7 @@ fn run_crowd_inner(
                                     Some((cell.global_ids.clone(), scenario.snapshot()));
                             }
                         }
-                        let writer = barrier.wait().is_leader();
+                        let writer = barrier.wait();
                         if writer {
                             let dir = controls
                                 .checkpoint_dir
@@ -632,7 +717,7 @@ fn run_crowd_inner(
                         // crash@EPOCH with no checkpoint directory:
                         // still die hard (a test may resume from an
                         // earlier checkpoint or assert artifact loss).
-                        let killer = barrier.wait().is_leader();
+                        let killer = barrier.wait();
                         if killer {
                             signal::hard_abort();
                         }
@@ -1046,4 +1131,71 @@ pub fn resume_crowd(
         },
     };
     Ok(run_crowd_inner(&config, None, controls, Some(resume)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Two workers: one panics without ever reaching the barrier, the
+    /// other waits at it — either already blocked when the panic comes,
+    /// or arriving after it. The waiter must panic out and the scope
+    /// must carry the panic to its caller. The pair runs on a detached
+    /// thread under a timeout, so a regression fails instead of hanging.
+    #[test]
+    fn a_panicking_worker_releases_the_barrier() {
+        for waiter_first in [true, false] {
+            let (done, finished) = mpsc::channel();
+            thread::spawn(move || {
+                let barrier = EpochBarrier::new(2);
+                let (poisoned, after_poison) = mpsc::channel::<()>();
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    thread::scope(|scope| {
+                        let barrier = &barrier;
+                        scope.spawn(move || {
+                            // Dropped after the poison guard below.
+                            let _signal = poisoned;
+                            let _poison = barrier.poison_on_panic();
+                            while waiter_first && barrier.state().arrived == 0 {
+                                thread::yield_now();
+                            }
+                            panic!("worker fails before the barrier");
+                        });
+                        scope.spawn(move || {
+                            let _poison = barrier.poison_on_panic();
+                            if !waiter_first {
+                                let _ = after_poison.recv();
+                            }
+                            barrier.wait();
+                        });
+                    })
+                }));
+                let _ = done.send(outcome.is_err());
+            });
+            let propagated = finished
+                .recv_timeout(Duration::from_secs(20))
+                .expect("a worker is still blocked at the barrier");
+            assert!(propagated, "the panic reaches the scope's caller");
+        }
+    }
+
+    #[test]
+    fn the_barrier_elects_one_leader_per_round() {
+        let barrier = EpochBarrier::new(3);
+        let leaders = std::sync::atomic::AtomicUsize::new(0);
+        thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        if barrier.wait() {
+                            leaders.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(leaders.into_inner(), 50);
+    }
 }

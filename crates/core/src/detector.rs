@@ -18,7 +18,7 @@
 
 use hbr_d2d::{GoIntent, TechProfile};
 use hbr_energy::MicroAmpHours;
-use hbr_mobility::{Field, PathLoss, Position};
+use hbr_mobility::{PathLoss, Position};
 use hbr_sim::{DeviceId, SimRng};
 use serde::{Deserialize, Serialize};
 
@@ -139,14 +139,10 @@ impl D2dDetector {
         establish + per_send * expected_forwards as f64
     }
 
-    /// Discovery: every device currently within this D2D technology's
-    /// radio range of `ue`, nearest first (ties by id). Answered from the
-    /// field's uniform-grid spatial index, so a detection sweep over a
-    /// dense crowd costs O(n · local density) rather than O(n²); the
-    /// caller turns the ids it cares about (live relays with capacity)
-    /// into [`RelayAdvert`]s.
-    pub fn discover_in_range(&self, field: &Field, ue: DeviceId) -> Vec<(DeviceId, f64)> {
-        field.neighbours_within(ue, self.tech.range_m)
+    /// The D2D technology's radio range in metres: discovery hears only
+    /// the relays within it.
+    pub fn range_m(&self) -> f64 {
+        self.tech.range_m
     }
 
     /// Runs one matching round: measures each advert's RSSI through the

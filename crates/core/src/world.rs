@@ -633,6 +633,16 @@ impl Device {
     }
 }
 
+/// Indices of the relays among `devices`, ascending.
+fn relay_index(devices: &[Device]) -> Vec<usize> {
+    devices
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| d.role == Role::Relay)
+        .map(|(i, _)| i)
+        .collect()
+}
+
 /// Runs one scenario to completion and produces its report.
 ///
 /// # Examples
@@ -665,6 +675,10 @@ pub struct Scenario {
     sim: Simulation<Event>,
     devices: Vec<Device>,
     field: Field,
+    /// Indices of the relays in `devices`, ascending: the only devices
+    /// discovery considers. Derived state — rebuilt on restore, never
+    /// serialised; roles never change, and `immigrate` appends.
+    relays: Vec<usize>,
     detector: D2dDetector,
     servers: BTreeMap<AppId, ImServer>,
     bs: BaseStation,
@@ -915,6 +929,7 @@ impl Scenario {
         let mut world = Scenario {
             config,
             sim: Simulation::new(),
+            relays: relay_index(&devices),
             devices,
             field,
             detector,
@@ -1298,6 +1313,9 @@ impl Scenario {
             self.max_expiration = self.max_expiration.max(app.expiration);
         }
         self.field.insert(id, mobility);
+        if role == Role::Relay {
+            self.relays.push(i);
+        }
         self.devices.push(Device {
             id,
             role,
@@ -2047,6 +2065,34 @@ impl Scenario {
         self.match_and_forward(now, device, hb, None, slack);
     }
 
+    /// Discovery for `device` at `ue_pos`: the live, present relays
+    /// with a working D2D radio within radio range, other than
+    /// `handover_from` (a handover avoids the relay that just failed
+    /// the heartbeat), with their positions.
+    ///
+    /// Only relays advertise (§III-C), so this walks the cell's relay
+    /// index rather than every device in range. The index ascends by
+    /// id, so the detector's RNG draw order — and with it every seeded
+    /// run — is that of an id-sorted scan of the field.
+    fn discover(
+        &self,
+        now: SimTime,
+        device: usize,
+        ue_pos: Position,
+        handover_from: Option<usize>,
+    ) -> impl Iterator<Item = (&Device, Position)> + '_ {
+        let range_m = self.detector.range_m();
+        self.relays
+            .iter()
+            .filter(move |&&i| i != device && Some(i) != handover_from)
+            .map(|&i| &self.devices[i])
+            .filter_map(move |d| {
+                let position = self.field.position(d.id)?;
+                (ue_pos.distance_to(position) <= range_m).then_some((d, position))
+            })
+            .filter(move |(d, _)| d.is_alive() && !d.departed && now >= d.d2d_down_until)
+    }
+
     /// Matches `device` to a relay and forwards `hb`, or falls back to
     /// cellular. `slack` is the delay budget used to filter relay
     /// candidates: the full message slack on a first delivery, the
@@ -2073,33 +2119,12 @@ impl Scenario {
             return;
         };
 
-        // Discover devices in radio range through the field's spatial
-        // index — O(local density), not a scan over the whole world —
-        // then build adverts from the live relays among them whose
-        // aggregation window fits the message's slack (the delegation
-        // policy). Ascending-id order matches the retired full-scan
-        // path, so the detector's RNG draw order (and with it every
-        // seeded experiment) is unchanged.
-        let mut in_range: Vec<usize> = self
-            .detector
-            .discover_in_range(&self.field, self.devices[device].id)
-            .into_iter()
-            .map(|(id, _)| id.index() as usize)
-            .collect();
-        in_range.sort_unstable();
-        // A handover must avoid the relay that just failed this
-        // heartbeat. `None` retains everything, so the legacy call sites
-        // see an unchanged candidate list and RNG draw order.
-        in_range.retain(|&i| Some(i) != handover_from);
-        let adverts: Vec<RelayAdvert> = in_range
-            .into_iter()
-            .map(|i| &self.devices[i])
-            .filter(|d| {
-                d.role == Role::Relay && d.is_alive() && !d.departed && now >= d.d2d_down_until
-            })
-            .filter_map(|d| {
+        // Adverts from the discovered relays whose aggregation window
+        // fits the message's slack (the delegation policy).
+        let adverts: Vec<RelayAdvert> = self
+            .discover(now, device, ue_pos, handover_from)
+            .filter_map(|(d, position)| {
                 let scheduler = d.scheduler.as_ref()?;
-                let position = self.field.position(d.id)?;
                 Some((
                     scheduler.period(),
                     RelayAdvert {
@@ -3540,6 +3565,7 @@ impl Scenario {
             }
             devices.push(dev);
         }
+        self.relays = relay_index(&devices);
         self.devices = devices;
         self.field = Field::unsnap(r)?;
         self.servers = BTreeMap::unsnap(r)?;
@@ -3757,6 +3783,103 @@ mod tests {
         for ue in &report.devices[1..] {
             assert_eq!(ue.offline_secs, 0.0, "{} lapsed", ue.device);
         }
+    }
+
+    /// Discovery walks the relay index; the reference is the field's
+    /// linear scan of every device in radio range, narrowed to the
+    /// relays discovery may offer and sorted by id — through handover
+    /// exclusion, dead, departed and D2D-down relays, and a relay
+    /// appended by `immigrate`.
+    #[test]
+    fn relay_index_discovery_equals_the_scan() {
+        let topology = |cell| CellTopology {
+            area_side_m: 400.0,
+            grid: 2,
+            cell,
+        };
+        let at = |role, x, y| DeviceSpec {
+            role,
+            apps: vec![AppProfile::wechat()],
+            mobility: Mobility::stationary(Position::new(x, y)),
+            battery_mah: None,
+        };
+        // Cell 0 spans x < 200 of the bottom row; its relay at x = 230
+        // lies in cell 1 and migrates there at the first barrier.
+        let mut source = ScenarioConfig::new(SimDuration::from_secs(3600), 3);
+        source.topology = Some(topology(0));
+        source.add_device(at(Role::Ue, 10.0, 10.0));
+        source.add_device(at(Role::Relay, 230.0, 20.0));
+        let mut source = Scenario::new(source);
+        let barrier = SimTime::from_secs(1);
+        source.run_until(barrier);
+        let migrants = source.emigrate(barrier);
+        assert_eq!(migrants.len(), 1, "the relay leaves cell 0");
+
+        let mut config = ScenarioConfig::new(SimDuration::from_secs(3600), 4);
+        config.topology = Some(topology(1));
+        for (role, x, y) in [
+            (Role::Relay, 205.0, 10.0),
+            (Role::Ue, 220.0, 10.0),
+            (Role::Relay, 395.0, 190.0),
+            (Role::Relay, 300.0, 40.0),
+            (Role::Ue, 390.0, 150.0),
+            (Role::Relay, 250.0, 120.0),
+            (Role::Relay, 340.0, 90.0),
+            (Role::Ue, 300.0, 100.0),
+            (Role::Relay, 280.0, 60.0),
+        ] {
+            config.add_device(at(role, x, y));
+        }
+        let mut world = Scenario::new(config);
+        world.run_until(barrier);
+        let admitted = world.immigrate(migrants, barrier);
+        let immigrant = admitted[0].index() as usize;
+        assert_eq!(world.relays.last(), Some(&immigrant));
+        let now = SimTime::from_secs(2);
+        world.devices[3].departed = true;
+        let mut flat = Battery::with_capacity_mah(1.0);
+        flat.drain(flat.capacity());
+        world.devices[5].battery = Some(flat);
+        world.devices[6].d2d_down_until = SimTime::from_secs(600);
+
+        let range_m = world.detector.range_m();
+        let relays = world.relays.clone();
+        let mut immigrant_heard = false;
+        for ue in (0..world.devices.len()).filter(|&i| world.devices[i].role == Role::Ue) {
+            let id = world.devices[ue].id;
+            let ue_pos = world.field.position(id).expect("UE is in the field");
+            let in_range: Vec<usize> = world
+                .field
+                .neighbours_within_scan(id, range_m)
+                .into_iter()
+                .map(|(id, _)| id.index() as usize)
+                .collect();
+            for handover_from in std::iter::once(None).chain(relays.iter().copied().map(Some)) {
+                let found: Vec<usize> = world
+                    .discover(now, ue, ue_pos, handover_from)
+                    .map(|(d, position)| {
+                        assert_eq!(world.field.position(d.id), Some(position));
+                        d.id.index() as usize
+                    })
+                    .collect();
+                let mut expected: Vec<usize> = in_range
+                    .iter()
+                    .copied()
+                    .filter(|&i| {
+                        let d = &world.devices[i];
+                        d.role == Role::Relay
+                            && Some(i) != handover_from
+                            && d.is_alive()
+                            && !d.departed
+                            && now >= d.d2d_down_until
+                    })
+                    .collect();
+                expected.sort_unstable();
+                assert_eq!(found, expected, "UE {ue}, handover from {handover_from:?}");
+                immigrant_heard |= found.contains(&immigrant);
+            }
+        }
+        assert!(immigrant_heard, "the immigrated relay is discovered");
     }
 
     #[test]

@@ -16,6 +16,12 @@ use crate::position::Position;
 /// Devices are stored in a `BTreeMap` so iteration order (and therefore
 /// any randomness consumed while advancing models) is deterministic.
 ///
+/// Advancing costs O(moving tracks), not O(tracks): stationary tracks
+/// are never stepped. Stepping one would only move its `updated_at` up
+/// to the field clock, so the field supplies that clock instead wherever
+/// a track leaves it ([`remove`](Field::remove) and snapshots), and the
+/// result is exactly what stepping every track would have produced.
+///
 /// # Examples
 ///
 /// ```
@@ -33,11 +39,19 @@ use crate::position::Position;
 #[derive(Debug, Clone, Default)]
 pub struct Field {
     tracks: BTreeMap<DeviceId, Mobility>,
+    /// The tracks [`advance_to`](Field::advance_to) steps, ascending by
+    /// id so the shared RNG is drawn in the same order as stepping every
+    /// track: each moving track, plus each stationary track inserted
+    /// behind the field clock, whose `updated_at` must stay put until
+    /// the next advance. Derived state, rebuilt on restore.
+    steppers: Vec<DeviceId>,
     now: SimTime,
     /// Spatial index over current positions, built lazily on the first
-    /// neighbourhood query and kept until a position changes. Interior
+    /// neighbourhood query and dropped when a position changes. Interior
     /// mutability lets read-only queries populate the cache.
     grid: RefCell<Option<SpatialGrid>>,
+    /// Tracks stepped by every advance so far (not serialised).
+    tracks_advanced: u64,
 }
 
 impl Field {
@@ -46,19 +60,46 @@ impl Field {
         Field::default()
     }
 
+    /// `true` if [`advance_to`](Field::advance_to) has to step
+    /// `mobility`: it moves, or it is a stationary track behind the
+    /// field clock (see `steppers`).
+    fn steps(&self, mobility: &Mobility) -> bool {
+        !mobility.is_stationary() || mobility.updated_at() < self.now
+    }
+
+    /// `mobility` (tracked as `device`) as stepping it through every
+    /// advance would have left it. Only a stationary track that is not
+    /// stepped can lag: its clock follows the field's.
+    fn settled(&self, device: DeviceId, mobility: &Mobility) -> Option<Mobility> {
+        (mobility.is_stationary()
+            && mobility.updated_at() < self.now
+            && self.steppers.binary_search(&device).is_err())
+        .then(|| Mobility::stationary(mobility.position()).started_at(self.now))
+    }
+
     /// Registers (or replaces) the mobility model for `device`.
     pub fn insert(&mut self, device: DeviceId, mobility: Mobility) {
+        match (self.steppers.binary_search(&device), self.steps(&mobility)) {
+            (Err(at), true) => self.steppers.insert(at, device),
+            (Ok(at), false) => {
+                self.steppers.remove(at);
+            }
+            _ => {}
+        }
         self.tracks.insert(device, mobility);
         *self.grid.get_mut() = None;
     }
 
-    /// Removes a device's track, returning it if present.
+    /// Removes a device's track, returning it if present — as stepping
+    /// it through every advance so far would have left it.
     pub fn remove(&mut self, device: DeviceId) -> Option<Mobility> {
-        let removed = self.tracks.remove(&device);
-        if removed.is_some() {
-            *self.grid.get_mut() = None;
+        let removed = self.tracks.remove(&device)?;
+        let removed = self.settled(device, &removed).unwrap_or(removed);
+        if let Ok(at) = self.steppers.binary_search(&device) {
+            self.steppers.remove(at);
         }
-        removed
+        *self.grid.get_mut() = None;
+        Some(removed)
     }
 
     /// Number of tracked devices.
@@ -76,25 +117,34 @@ impl Field {
         self.now
     }
 
+    /// How many tracks every [`advance_to`](Field::advance_to) so far
+    /// has stepped — a deterministic work count (stationary tracks are
+    /// never stepped). Not serialised: a restored field counts from zero.
+    pub fn tracks_advanced(&self) -> u64 {
+        self.tracks_advanced
+    }
+
     /// Advances every device's mobility model to `now`. Instants at or
     /// before the current field time are no-ops — the field never rewinds.
+    ///
+    /// Steps only the moving tracks, in id order, so the randomness
+    /// drawn from `rng` is exactly that of stepping every track.
     pub fn advance_to(&mut self, now: SimTime, rng: &mut SimRng) {
         if now <= self.now {
             return;
         }
-        for mobility in self.tracks.values_mut() {
+        let tracks = &mut self.tracks;
+        self.tracks_advanced += self.steppers.len() as u64;
+        // A stationary track is stepped once, then left to the field clock.
+        self.steppers.retain(|id| {
+            let mobility = tracks.get_mut(id).expect("every stepper is tracked");
             mobility.advance_to(now, rng);
-        }
+            !mobility.is_stationary()
+        });
         self.now = now;
-        // Positions moved: rebuild the spatial index in place if a query
-        // already established one (keeping its cell size), otherwise let
-        // the next query size it to its radius.
-        let grid = self.grid.get_mut();
-        if let Some(cell_m) = grid.as_ref().map(SpatialGrid::cell_m) {
-            *grid = Some(SpatialGrid::build(
-                cell_m,
-                self.tracks.iter().map(|(id, m)| (*id, m.position())),
-            ));
+        if !self.steppers.is_empty() {
+            // Moving tracks remain, so positions may have changed.
+            *self.grid.get_mut() = None;
         }
     }
 
@@ -113,11 +163,12 @@ impl Field {
     /// Returns an empty vector if `device` is not tracked.
     ///
     /// Answered from a uniform-grid [`SpatialGrid`] index built lazily
-    /// over the current positions and cached until the next
-    /// [`advance_to`](Field::advance_to) / [`insert`](Field::insert) /
-    /// [`remove`](Field::remove), so a detection sweep over the whole
-    /// field costs O(n · local density) instead of O(n²). The result is
-    /// identical to [`neighbours_within_scan`](Field::neighbours_within_scan).
+    /// over the current positions and cached until a position changes
+    /// (an [`advance_to`](Field::advance_to) that moves a track, an
+    /// [`insert`](Field::insert) or a [`remove`](Field::remove)), so a
+    /// detection sweep over the whole field costs O(n · local density)
+    /// instead of O(n²). The result is identical to
+    /// [`neighbours_within_scan`](Field::neighbours_within_scan).
     pub fn neighbours_within(&self, device: DeviceId, radius: f64) -> Vec<(DeviceId, f64)> {
         let Some(centre) = self.position(device) else {
             return Vec::new();
@@ -132,9 +183,8 @@ impl Field {
         }
         let mut cache = self.grid.borrow_mut();
         // Cells far narrower or wider than the query radius degrade the
-        // scan back towards O(n); resize when out of proportion. The
-        // steady state — the world querying one discovery radius — never
-        // rebuilds here.
+        // scan back towards O(n); resize when out of proportion. A
+        // caller querying one radius builds only after positions change.
         let unsuitable = |g: &SpatialGrid| {
             radius > 0.0 && (g.cell_m() < radius / 8.0 || g.cell_m() > radius * 8.0)
         };
@@ -175,18 +225,34 @@ impl Field {
 }
 
 impl Snap for Field {
-    /// The spatial-grid cache is derived state: it is not serialised, and
-    /// a restored field rebuilds it on the first neighbourhood query.
+    /// The spatial-grid cache, the stepper list and the work counter are
+    /// derived state: none is serialised. Each track is written as
+    /// stepping it through every advance would have left it, so the
+    /// bytes do not depend on which tracks the field skips.
     fn snap(&self, w: &mut SnapshotWriter) {
-        self.tracks.snap(w);
+        w.put_usize(self.tracks.len());
+        for (id, mobility) in &self.tracks {
+            id.snap(w);
+            match self.settled(*id, mobility) {
+                Some(settled) => settled.snap(w),
+                None => mobility.snap(w),
+            }
+        }
         self.now.snap(w);
     }
     fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Field {
+        let mut field = Field {
             tracks: BTreeMap::unsnap(r)?,
             now: SimTime::unsnap(r)?,
-            grid: RefCell::new(None),
-        })
+            ..Field::default()
+        };
+        field.steppers = field
+            .tracks
+            .iter()
+            .filter(|(_, mobility)| field.steps(mobility))
+            .map(|(id, _)| *id)
+            .collect();
+        Ok(field)
     }
 }
 
@@ -260,6 +326,28 @@ mod tests {
         assert_eq!(field.position(dev(0)), Some(Position::new(30.0, 0.0)));
         assert_eq!(field.distance(dev(0), dev(1)), Some(20.0));
         assert_eq!(field.now(), SimTime::from_secs(30));
+    }
+
+    #[test]
+    fn advance_steps_only_the_walkers() {
+        let bounds = crate::model::Bounds::square(200.0);
+        let mut field: Field = (0..200)
+            .map(|i| {
+                let start = Position::new(f64::from(i), 100.0);
+                let mobility = if i % 10 == 0 {
+                    Mobility::random_waypoint(start, bounds, 0.5, 1.5, 10.0)
+                } else {
+                    Mobility::stationary(start)
+                };
+                (dev(i), mobility)
+            })
+            .collect();
+        let mut rng = SimRng::seed_from(5);
+        field.advance_to(SimTime::from_secs(1), &mut rng);
+        assert_eq!(field.tracks_advanced(), 20);
+        // A no-op advance steps nothing.
+        field.advance_to(SimTime::from_secs(1), &mut rng);
+        assert_eq!(field.tracks_advanced(), 20);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! of O(n).
 //!
 //! The index is a *snapshot* of device positions; [`Field`](crate::Field)
-//! owns one as a cache, rebuilding it whenever positions change. Queries
+//! owns one as a cache, dropping it whenever positions change and
+//! rebuilding it on the next query. Queries
 //! with a radius other than the cell side stay correct — the scan just
 //! widens to however many cell rings the radius needs.
 

@@ -345,6 +345,12 @@ impl Mobility {
         self
     }
 
+    /// `true` for a [`Mobility::stationary`] track: advancing it never
+    /// moves it and draws no randomness.
+    pub fn is_stationary(&self) -> bool {
+        matches!(self.kind, Kind::Stationary)
+    }
+
     /// The position as of the last [`advance_to`](Mobility::advance_to).
     pub fn position(&self) -> Position {
         self.position

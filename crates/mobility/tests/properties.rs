@@ -1,9 +1,69 @@
 //! Property tests for mobility invariants.
 
+use std::collections::BTreeMap;
+
 use hbr_mobility::model::Bounds;
 use hbr_mobility::{Field, Mobility, PathLoss, Position};
-use hbr_sim::{DeviceId, SimRng, SimTime};
+use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+
+/// A field that steps every track on every advance — what [`Field`]
+/// did before it skipped stationary tracks, and the bytes its snapshot
+/// wrote then.
+struct SteppingEveryTrack {
+    tracks: BTreeMap<DeviceId, Mobility>,
+    now: SimTime,
+}
+
+impl SteppingEveryTrack {
+    fn advance_to(&mut self, now: SimTime, rng: &mut SimRng) {
+        if now <= self.now {
+            return;
+        }
+        for mobility in self.tracks.values_mut() {
+            mobility.advance_to(now, rng);
+        }
+        self.now = now;
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        self.tracks.snap(&mut w);
+        self.now.snap(&mut w);
+        w.into_bytes()
+    }
+}
+
+fn field_snapshot(field: &Field) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    field.snap(&mut w);
+    w.into_bytes()
+}
+
+/// One of the track kinds a field holds, built at `(x, y)` inside a
+/// 100 m square; `now` lets some start mid-run, ahead of or behind the
+/// field clock.
+fn track(model: u8, x: f64, y: f64, now: SimTime) -> Mobility {
+    let start = Position::new(x, y);
+    let area = Bounds::square(100.0);
+    match model {
+        0 => Mobility::stationary(start),
+        1 => Mobility::stationary(start).started_at(now + SimDuration::from_secs(7)),
+        2 => Mobility::stationary(start).started_at(now),
+        3 => Mobility::random_waypoint(start, area, 0.5, 1.5, 4.0),
+        4 => {
+            Mobility::linear_bounded(start, (x / 50.0 - 1.0, 1.0 - y / 50.0), area).started_at(now)
+        }
+        _ => Mobility::waypoint_path(
+            start,
+            vec![
+                (Position::new(y, x), 1.2, 3.0),
+                (Position::new(50.0, 50.0), 0.8, 0.0),
+            ],
+        ),
+    }
+}
 
 proptest! {
     /// Random-waypoint devices never leave their bounds, whatever the
@@ -70,8 +130,8 @@ proptest! {
 
     /// The grid-indexed `neighbours_within` is exactly the brute-force
     /// scan for any random cloud, query radius and centre — including
-    /// after `advance_to` moves walkers (which rebuilds the cached
-    /// index), and for untracked devices (both return nothing).
+    /// after `advance_to` moves walkers (which drops the cached index
+    /// for the next query to rebuild), and for untracked devices (both return nothing).
     #[test]
     fn grid_equals_scan(
         points in proptest::collection::vec((0.0f64..200.0, 0.0f64..200.0), 1..60),
@@ -141,5 +201,55 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Skipping stationary tracks is invisible: under any sequence of
+    /// inserts, removals, advances and snapshot round trips over mixed
+    /// track kinds, the field agrees with one that steps every track on
+    /// every position, every removed track, its snapshot bytes and the
+    /// shared RNG's next draw — and its grid still answers exactly as
+    /// the scan does.
+    #[test]
+    fn skipping_stationary_tracks_is_invisible(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(
+            (0u8..6, 0u32..10, 0u64..90, 0u8..6, 0.0f64..100.0, 0.0f64..100.0),
+            1..40,
+        ),
+    ) {
+        let mut field = Field::new();
+        let mut reference = SteppingEveryTrack { tracks: BTreeMap::new(), now: SimTime::ZERO };
+        let mut rng = SimRng::seed_from(seed);
+        let mut reference_rng = SimRng::seed_from(seed);
+        for (op, id, secs, model, x, y) in ops {
+            let id = DeviceId::new(id);
+            match op {
+                0 | 1 => {
+                    let mobility = track(model, x, y, field.now());
+                    field.insert(id, mobility.clone());
+                    reference.tracks.insert(id, mobility);
+                }
+                2 => prop_assert_eq!(field.remove(id), reference.tracks.remove(&id)),
+                3 | 4 => {
+                    let to = field.now() + SimDuration::from_secs(secs);
+                    field.advance_to(to, &mut rng);
+                    reference.advance_to(to, &mut reference_rng);
+                    prop_assert_eq!(rng.unit(), reference_rng.unit());
+                }
+                _ => {
+                    let bytes = field_snapshot(&field);
+                    field = Field::unsnap(&mut SnapshotReader::new(&bytes)).expect("field round-trips");
+                }
+            }
+            prop_assert_eq!(field.now(), reference.now);
+            let positions: Vec<_> = field.iter().collect();
+            let expected: Vec<_> = reference.tracks.iter().map(|(id, m)| (*id, m.position())).collect();
+            prop_assert_eq!(positions, expected);
+            prop_assert_eq!(field_snapshot(&field), reference.snapshot());
+            for (id, _) in field.iter() {
+                prop_assert_eq!(field.neighbours_within(id, 30.0), field.neighbours_within_scan(id, 30.0));
+            }
+        }
+        prop_assert_eq!(rng.unit(), reference_rng.unit());
     }
 }

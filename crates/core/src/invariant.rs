@@ -729,4 +729,25 @@ mod tests {
         c.check_device(SimTime::ZERO, 0, &p, &tracer);
         c.on_finish(&HashSet::new(), &tracer);
     }
+
+    /// Golden bytes of every heartbeat-fate variant.
+    #[test]
+    fn every_fate_variant_has_pinned_bytes() {
+        let cases = [
+            (HbFate::InFlight, "00"),
+            (HbFate::Delivered, "01"),
+            (HbFate::Expired, "02"),
+            (HbFate::DroppedDead, "03"),
+        ];
+        for (fate, pin) in cases {
+            let mut w = SnapshotWriter::new();
+            fate.snap(&mut w);
+            let bytes = w.into_bytes();
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pin, "{fate:?}");
+            let mut r = SnapshotReader::new(&bytes);
+            assert_eq!(HbFate::unsnap(&mut r).unwrap(), fate);
+            r.finish().unwrap();
+        }
+    }
 }

@@ -4213,4 +4213,49 @@ mod tests {
             assert_eq!(d2d, 0.0, "baseline device {} used D2D", dev.device);
         }
     }
+
+    /// Golden bytes of every engine event variant; the public enums are
+    /// pinned in `tests/snapshot_codec.rs`.
+    #[test]
+    fn every_event_variant_has_pinned_bytes() {
+        let cases = [
+            (
+                Event::HeartbeatDue {
+                    device: 1,
+                    app_idx: 2,
+                },
+                "0001000000000000000200000000000000",
+            ),
+            (
+                Event::FlushDeadline {
+                    device: 3,
+                    generation: 4,
+                },
+                "0103000000000000000400000000000000",
+            ),
+            (Event::FeedbackSweep { device: 5 }, "020500000000000000"),
+            (Event::LinkReady { device: 6 }, "030600000000000000"),
+            (
+                Event::PushDue {
+                    device: 7,
+                    app_idx: 8,
+                },
+                "0407000000000000000800000000000000",
+            ),
+            (Event::FaultDue { index: 9 }, "050900000000000000"),
+            (Event::OutageOver, "06"),
+            (Event::RelayRejoin { device: 10 }, "070a00000000000000"),
+            (Event::DeliveryRetry { device: 11 }, "080b00000000000000"),
+        ];
+        for (event, pin) in cases {
+            let mut w = SnapshotWriter::new();
+            event.snap(&mut w);
+            let bytes = w.into_bytes();
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pin, "{event:?}");
+            let mut r = SnapshotReader::new(&bytes);
+            assert_eq!(Event::unsnap(&mut r).unwrap(), event);
+            r.finish().unwrap();
+        }
+    }
 }

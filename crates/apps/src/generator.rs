@@ -1,6 +1,6 @@
 //! Workload generation: heartbeat schedules and mixed traffic.
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
 use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -111,32 +111,9 @@ impl HeartbeatSchedule {
     }
 }
 
-impl Snap for HeartbeatSchedule {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.device.snap(w);
-        self.app.snap(w);
-        w.put_f64(self.jitter_frac);
-        self.next_at.snap(w);
-        w.put_u32(self.seq);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let device = DeviceId::unsnap(r)?;
-        let app = AppProfile::unsnap(r)?;
-        let jitter_frac = r.take_f64()?;
-        if !(jitter_frac.is_finite() && jitter_frac >= 0.0) {
-            return Err(SnapshotError::Corrupt(format!(
-                "jitter fraction {jitter_frac}"
-            )));
-        }
-        Ok(HeartbeatSchedule {
-            device,
-            app,
-            jitter_frac,
-            next_at: SimTime::unsnap(r)?,
-            seq: r.take_u32()?,
-        })
-    }
-}
+snap_struct!(HeartbeatSchedule { device, app, jitter_frac, next_at, seq }
+    reject |s| !(s.jitter_frac.is_finite() && s.jitter_frac >= 0.0)
+        => format!("jitter fraction {}", s.jitter_frac));
 
 /// One event in a mixed traffic trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

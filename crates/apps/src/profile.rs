@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
 use hbr_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -32,14 +32,7 @@ impl AppId {
     }
 }
 
-impl Snap for AppId {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.0);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(AppId(r.take_u32()?))
-    }
-}
+snap_struct!(AppId { 0 });
 
 impl fmt::Display for AppId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -185,41 +178,12 @@ impl AppProfile {
     }
 }
 
-impl Snap for AppProfile {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.id.snap(w);
-        w.put_str(&self.name);
-        self.heartbeat_period.snap(w);
-        w.put_usize(self.heartbeat_size);
-        self.expiration.snap(w);
-        w.put_f64(self.heartbeat_share);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let id = AppId::unsnap(r)?;
-        let name = String::unsnap(r)?;
-        let heartbeat_period = SimDuration::unsnap(r)?;
-        let heartbeat_size = r.take_usize()?;
-        let expiration = SimDuration::unsnap(r)?;
-        let heartbeat_share = r.take_f64()?;
-        if heartbeat_period.is_zero()
-            || heartbeat_size == 0
-            || expiration.is_zero()
-            || !(heartbeat_share > 0.0 && heartbeat_share < 1.0)
-        {
-            return Err(SnapshotError::Corrupt(format!(
-                "app profile {name:?} out of range"
-            )));
-        }
-        Ok(AppProfile {
-            id,
-            name,
-            heartbeat_period,
-            heartbeat_size,
-            expiration,
-            heartbeat_share,
-        })
-    }
-}
+snap_struct!(AppProfile { id, name, heartbeat_period, heartbeat_size, expiration, heartbeat_share }
+    reject |app| app.heartbeat_period.is_zero()
+        || app.heartbeat_size == 0
+        || app.expiration.is_zero()
+        || !(app.heartbeat_share > 0.0 && app.heartbeat_share < 1.0)
+        => format!("app profile {:?} out of range", app.name));
 
 impl fmt::Display for AppProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

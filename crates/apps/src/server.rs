@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
 use hbr_sim::{DeviceId, SimDuration, SimTime};
 
 use crate::message::Heartbeat;
@@ -243,38 +243,11 @@ impl ImServer {
     }
 }
 
-impl Snap for ImServer {
-    /// The `seen`/`seen_seq` hash sets are serialised in sorted order so
-    /// the byte stream is independent of hash iteration order.
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.expiration.snap(w);
-        self.history.snap(w);
-        w.put_u64(self.delivered);
-        w.put_u64(self.rejected_expired);
-        w.put_u64(self.duplicates);
-        let mut seen: Vec<crate::message::MessageId> = self.seen.iter().copied().collect();
-        seen.sort();
-        seen.snap(w);
-        let mut seen_seq: Vec<(DeviceId, AppId, u32)> = self.seen_seq.iter().copied().collect();
-        seen_seq.sort();
-        seen_seq.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let expiration = SimDuration::unsnap(r)?;
-        if expiration.is_zero() {
-            return Err(SnapshotError::Corrupt("zero server expiration".into()));
-        }
-        Ok(ImServer {
-            expiration,
-            history: BTreeMap::unsnap(r)?,
-            delivered: r.take_u64()?,
-            rejected_expired: r.take_u64()?,
-            duplicates: r.take_u64()?,
-            seen: Vec::unsnap(r)?.into_iter().collect(),
-            seen_seq: Vec::unsnap(r)?.into_iter().collect(),
-        })
-    }
-}
+// The `seen`/`seen_seq` hash sets are written in sorted order, so the
+// bytes do not depend on hash iteration order.
+snap_struct!(ImServer {
+    expiration, history, delivered, rejected_expired, duplicates, seen, seen_seq,
+} reject |server| server.expiration.is_zero() => "zero server expiration");
 
 #[cfg(test)]
 mod tests {

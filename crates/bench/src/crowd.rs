@@ -158,10 +158,11 @@ type StagedCell = Option<(Vec<u32>, Vec<u8>)>;
 pub type EpochHook<'a> = &'a (dyn Fn(u64, &EpochPulse) + Sync);
 
 /// Knobs that shape how a crowd run *executes* without changing what it
-/// computes: checkpointing, crash injection, signal handling and the
-/// per-epoch observation callback. Everything here is pure observation
-/// or process control — a run with checkpoints enabled produces
-/// byte-identical artifacts to one without.
+/// computes: checkpointing, crash injection, signal handling, the
+/// per-epoch observation callback and the wall-clock profiler.
+/// Everything here is pure observation or process control — a run with
+/// checkpoints or profiling enabled produces byte-identical artifacts to
+/// one without.
 pub struct RunControls<'a> {
     /// Write epoch-barrier checkpoints into this directory
     /// (`epoch-N.ckpt` + `MANIFEST.json`). [`None`] disables
@@ -183,6 +184,10 @@ pub struct RunControls<'a> {
     /// 1-based epoch number and the fleet-folded pulse — the `hbr
     /// serve` emission hook. Must not touch scenario state.
     pub on_epoch: Option<EpochHook<'a>>,
+    /// Attach the wall-clock shard profiler; the run then hands back a
+    /// [`CrowdProfile`] in [`CrowdOutcome::profile`]. Host time, **not**
+    /// deterministic — keep it out of anything golden-pinned.
+    pub profile: bool,
 }
 
 impl Default for RunControls<'_> {
@@ -193,6 +198,7 @@ impl Default for RunControls<'_> {
             crash_after_epoch: None,
             heed_signals: false,
             on_epoch: None,
+            profile: false,
         }
     }
 }
@@ -205,6 +211,9 @@ pub struct CrowdOutcome {
     pub epochs_done: u64,
     /// `true` if the run stopped early on SIGINT/SIGTERM.
     pub truncated: bool,
+    /// Per-cell step costs, barrier stalls and queue depths, when
+    /// [`RunControls::profile`] asked for them.
+    pub profile: Option<CrowdProfile>,
 }
 
 /// Runs one crowd mode through the sharded engine and merges the
@@ -212,49 +221,14 @@ pub struct CrowdOutcome {
 /// function of the config — the shard count only chooses how many
 /// threads carry the cells.
 pub fn run_crowd(config: &CrowdConfig) -> ScenarioReport {
-    run_crowd_inner(config, None, &RunControls::default(), None).report
+    run_crowd_inner(config, &RunControls::default(), None).report
 }
 
 /// [`run_crowd`] under explicit [`RunControls`]: checkpointing, crash
-/// injection, graceful-interrupt handling and per-epoch emission.
+/// injection, graceful-interrupt handling, per-epoch emission and
+/// profiling.
 pub fn run_crowd_controlled(config: &CrowdConfig, controls: &RunControls<'_>) -> CrowdOutcome {
-    run_crowd_inner(config, None, controls, None)
-}
-
-/// [`run_crowd`] with the wall-clock shard profiler attached: same
-/// deterministic report, plus a [`CrowdProfile`] of per-cell step
-/// costs, barrier stalls and queue depths. The profile is host-time
-/// and **not** deterministic — keep it out of anything golden-pinned.
-pub fn run_crowd_profiled(config: &CrowdConfig) -> (ScenarioReport, CrowdProfile) {
-    let profiler = Profiler::new();
-    let report = run_crowd_inner(config, Some(&profiler), &RunControls::default(), None).report;
-    let cells = report_cells(config);
-    let shards = config
-        .shards
-        .unwrap_or_else(|| auto_shards(cells))
-        .clamp(1, cells.max(1));
-    let profile = profiler.finish(config.phones, cells, shards, EPOCHS);
-    (report, profile)
-}
-
-/// Populated-cell count for a config (the profiler reports it without
-/// re-deriving the partition at every sample).
-fn report_cells(config: &CrowdConfig) -> usize {
-    let k = cell_grid(config.area_side_m);
-    if config.roam {
-        // Roaming materialises the whole grid: empty cells are
-        // legitimate migration targets.
-        return k * k;
-    }
-    let fleet = FleetBuilder::new(config.phones, config.relays)
-        .area_side_m(config.area_side_m)
-        .build(config.seed);
-    let mut populated = std::collections::BTreeSet::new();
-    for spec in fleet.iter() {
-        let p = spec.mobility.position();
-        populated.insert(cell_of(p.x, p.y, config.area_side_m, k));
-    }
-    populated.len()
+    run_crowd_inner(config, controls, None)
 }
 
 /// One cell's blueprint: the scenario config the cell engine is (or
@@ -443,10 +417,11 @@ impl Drop for PoisonOnPanic<'_> {
 
 fn run_crowd_inner(
     config: &CrowdConfig,
-    profiler: Option<&Profiler>,
     controls: &RunControls<'_>,
     resume: Option<ResumeState>,
 ) -> CrowdOutcome {
+    let profiling = controls.profile.then(Profiler::new);
+    let profiler = profiling.as_ref();
     let duration = SimDuration::from_secs(config.hours * 3600);
     let (start_epoch, mut cells, fleet_init) = match resume {
         Some(state) => (state.epochs_done, state.cells, state.fleet),
@@ -736,10 +711,14 @@ fn run_crowd_inner(
     });
 
     let fleet_log = fleet_log.into_inner().expect("fleet lock");
+    let epochs_done = completed.load(Ordering::SeqCst);
+    let profile =
+        profiling.map(|p| p.finish(config.phones, cell_count, shards, epochs_done - start_epoch));
     CrowdOutcome {
         report: merge_reports(cells, fleet_log, config.telemetry),
-        epochs_done: completed.load(Ordering::SeqCst),
+        epochs_done,
         truncated: stop.load(Ordering::SeqCst),
+        profile,
     }
 }
 
@@ -925,49 +904,78 @@ fn coalesce_rows(into: &mut DeviceReport, other: DeviceReport) {
 // config no longer reproduces the same cell setups.
 // ---------------------------------------------------------------------
 
-/// Serializes a [`CrowdConfig`] into a checkpoint.
-fn snap_crowd_config(config: &CrowdConfig, w: &mut SnapshotWriter) {
-    w.put_usize(config.phones);
-    w.put_usize(config.relays);
-    w.put_u64(config.hours);
-    w.put_f64(config.area_side_m);
-    w.put_u64(config.seed);
-    w.put_u64(config.push_mins);
-    config.mode.snap(w);
-    config.faults.snap(w);
-    w.put_usize(config.trace_capacity);
-    w.put_bool(config.telemetry);
-    w.put_bool(config.reliable);
-    w.put_bool(config.spans);
-    config.shards.snap(w);
-    w.put_bool(config.roam);
-}
+// The embedded config is checked together with the cells, in
+// `check_resumable`.
+hbr_sim::snap_struct!(CrowdConfig {
+    phones,
+    relays,
+    hours,
+    area_side_m,
+    seed,
+    push_mins,
+    mode,
+    faults,
+    trace_capacity,
+    telemetry,
+    reliable,
+    spans,
+    shards,
+    roam,
+});
 
-/// Reads a [`CrowdConfig`] back out of a checkpoint.
-fn unsnap_crowd_config(r: &mut SnapshotReader<'_>) -> Result<CrowdConfig, SnapshotError> {
-    let phones = r.take_usize()?;
-    let relays = r.take_usize()?;
-    let hours = r.take_u64()?;
-    let area_side_m = r.take_f64()?;
-    if !(area_side_m.is_finite() && area_side_m > 0.0) {
-        return Err(SnapshotError::Corrupt(format!("area side {area_side_m}")));
-    }
-    Ok(CrowdConfig {
+/// Refuses what the engine could not resume without panicking: the
+/// configs `hbr crowd` refuses as flags, run lengths the microsecond
+/// clock cannot hold, and cells whose fleet-global ids are not exactly
+/// `0..phones`.
+fn check_resumable(
+    config: &CrowdConfig,
+    cells: &[(Vec<u32>, Vec<u8>)],
+) -> Result<(), SnapshotError> {
+    let corrupt = |why: String| Err(SnapshotError::Corrupt(why));
+    let CrowdConfig {
         phones,
         relays,
         hours,
         area_side_m,
-        seed: r.take_u64()?,
-        push_mins: r.take_u64()?,
-        mode: Mode::unsnap(r)?,
-        faults: FaultPlan::unsnap(r)?,
-        trace_capacity: r.take_usize()?,
-        telemetry: r.take_bool()?,
-        reliable: r.take_bool()?,
-        spans: r.take_bool()?,
-        shards: Option::unsnap(r)?,
-        roam: r.take_bool()?,
-    })
+        push_mins,
+        ..
+    } = *config;
+    if !(area_side_m.is_finite() && area_side_m > 0.0) {
+        return corrupt(format!("area side {area_side_m}"));
+    }
+    if phones == 0 || hours == 0 {
+        return corrupt(format!(
+            "{phones} phones for {hours} h: both must be positive"
+        ));
+    }
+    if relays > phones {
+        return corrupt(format!("{relays} relays exceed {phones} phones"));
+    }
+    let micros = |secs: Option<u64>| secs.and_then(|s| s.checked_mul(1_000_000));
+    if micros(hours.checked_mul(3600)).is_none() {
+        return corrupt(format!("a {hours} h run overflows the clock"));
+    }
+    if micros(push_mins.checked_mul(60)).is_none() {
+        return corrupt(format!(
+            "a {push_mins} min push interval overflows the clock"
+        ));
+    }
+    // Bound `phones` by the file before allocating anything that size.
+    let ids: usize = cells.iter().map(|(ids, _)| ids.len()).sum();
+    if phones > ids {
+        return corrupt(format!("{phones} phones but the cells carry {ids} ids"));
+    }
+    let mut placed = vec![false; phones];
+    for &id in cells.iter().flat_map(|(ids, _)| ids) {
+        match placed.get_mut(id as usize) {
+            Some(slot) => *slot = true,
+            None => return corrupt(format!("global id {id} of {phones} phones")),
+        }
+    }
+    match placed.iter().position(|&p| !p) {
+        Some(missing) => corrupt(format!("phone {missing} is in no cell")),
+        None => Ok(()),
+    }
 }
 
 /// The file a checkpoint at `epochs_done` barriers lands in.
@@ -988,11 +996,11 @@ fn write_checkpoint(
 ) -> Result<(), SnapshotError> {
     std::fs::create_dir_all(dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
     let mut w = SnapshotWriter::with_header(CROWD_MAGIC);
-    snap_crowd_config(config, &mut w);
+    config.snap(&mut w);
     w.put_u64(epochs_done);
     fleet.metrics.snap(&mut w);
     fleet.events.snap(&mut w);
-    w.put_u64(cells.len() as u64);
+    w.put_usize(cells.len());
     for (global_ids, blob) in cells {
         global_ids.snap(&mut w);
         w.put_bytes(blob);
@@ -1060,7 +1068,7 @@ pub fn latest_checkpoint(dir: &Path) -> Result<PathBuf, SnapshotError> {
 pub fn load_checkpoint(path: &Path) -> Result<CrowdCheckpoint, SnapshotError> {
     let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
     let mut r = SnapshotReader::with_header(&bytes, CROWD_MAGIC)?;
-    let config = unsnap_crowd_config(&mut r)?;
+    let config = CrowdConfig::unsnap(&mut r)?;
     let epochs_done = r.take_u64()?;
     if epochs_done > EPOCHS {
         return Err(SnapshotError::Corrupt(format!(
@@ -1069,7 +1077,7 @@ pub fn load_checkpoint(path: &Path) -> Result<CrowdCheckpoint, SnapshotError> {
     }
     let metrics = MetricsRegistry::unsnap(&mut r)?;
     let events = Vec::unsnap(&mut r)?;
-    let n = r.take_u64()? as usize;
+    let n = r.take_usize()?;
     if n > r.remaining() {
         return Err(SnapshotError::Corrupt(format!("cell count {n}")));
     }
@@ -1080,6 +1088,7 @@ pub fn load_checkpoint(path: &Path) -> Result<CrowdCheckpoint, SnapshotError> {
         cells.push((global_ids, blob));
     }
     r.finish()?;
+    check_resumable(&config, &cells)?;
     Ok(CrowdCheckpoint {
         config,
         epochs_done,
@@ -1099,11 +1108,15 @@ pub fn load_checkpoint(path: &Path) -> Result<CrowdCheckpoint, SnapshotError> {
 ///
 /// Any [`SnapshotError`] from a cell restore — including
 /// [`SnapshotError::ConfigMismatch`] when the checkpoint's embedded
-/// config no longer reproduces the cell a blob was taken from.
+/// config no longer reproduces the cell a blob was taken from — and
+/// [`SnapshotError::Corrupt`] for a config the engine cannot run or a
+/// cell whose id map does not fit its devices.
 pub fn resume_crowd(
     checkpoint: CrowdCheckpoint,
     controls: &RunControls<'_>,
 ) -> Result<CrowdOutcome, SnapshotError> {
+    // `config` is a public field: check it again as the caller left it.
+    check_resumable(&checkpoint.config, &checkpoint.cells)?;
     let config = checkpoint.config;
     let duration = SimDuration::from_secs(config.hours * 3600);
     let setups = cell_setups(&config, duration);
@@ -1115,9 +1128,19 @@ pub fn resume_crowd(
         )));
     }
     let mut cells = Vec::with_capacity(setups.len());
-    for ((cell_config, _), (global_ids, blob)) in setups.into_iter().zip(checkpoint.cells) {
+    for ((cell_config, members), (global_ids, blob)) in setups.into_iter().zip(checkpoint.cells) {
+        let scenario = Scenario::restore(cell_config, &blob)?;
+        // A cell's map starts with its initial members; immigrants are
+        // appended, one id per device.
+        if !global_ids.starts_with(&members) || global_ids.len() != scenario.device_count() {
+            return Err(SnapshotError::Corrupt(format!(
+                "cell maps {} global ids onto {} devices",
+                global_ids.len(),
+                scenario.device_count()
+            )));
+        }
         cells.push(Cell {
-            scenario: Some(Scenario::restore(cell_config, &blob)?),
+            scenario: Some(scenario),
             report: None,
             global_ids,
         });
@@ -1130,7 +1153,7 @@ pub fn resume_crowd(
             events: checkpoint.events,
         },
     };
-    Ok(run_crowd_inner(&config, None, controls, Some(resume)))
+    Ok(run_crowd_inner(&config, controls, Some(resume)))
 }
 
 #[cfg(test)]

@@ -31,8 +31,8 @@ pub mod sweep;
 
 pub use crowd::{
     auto_shards, cell_grid, checkpoint_file, latest_checkpoint, load_checkpoint, resume_crowd,
-    run_crowd, run_crowd_controlled, run_crowd_profiled, CrowdCheckpoint, CrowdConfig,
-    CrowdOutcome, RunControls, EPOCHS,
+    run_crowd, run_crowd_controlled, CrowdCheckpoint, CrowdConfig, CrowdOutcome, RunControls,
+    EPOCHS,
 };
 pub use profile::{CrowdProfile, Profiler};
 pub use sweep::{derive_seed, run_sweep, run_sweep_with_threads, sweep_threads};

@@ -6,7 +6,7 @@
 //! radio's layer-3 activity and exposes the load and congestion metrics
 //! the motivation section describes.
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
 use hbr_sim::{DeviceId, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -132,28 +132,9 @@ impl BaseStation {
     }
 }
 
-impl Snap for BaseStation {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.capture.snap(w);
-        w.put_u64(self.rrc_connections);
-        w.put_f64(self.capacity_msgs_per_sec);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let capture = SignalingCapture::unsnap(r)?;
-        let rrc_connections = r.take_u64()?;
-        let capacity = r.take_f64()?;
-        if !(capacity.is_finite() && capacity > 0.0) {
-            return Err(SnapshotError::Corrupt(format!(
-                "control-channel capacity {capacity}"
-            )));
-        }
-        Ok(BaseStation {
-            capture,
-            rrc_connections,
-            capacity_msgs_per_sec: capacity,
-        })
-    }
-}
+snap_struct!(BaseStation { capture, rrc_connections, capacity_msgs_per_sec }
+    reject |bs| !(bs.capacity_msgs_per_sec.is_finite() && bs.capacity_msgs_per_sec > 0.0)
+        => format!("control-channel capacity {}", bs.capacity_msgs_per_sec));
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::{snap_enum, snap_struct};
 use hbr_sim::{DeviceId, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -40,40 +40,20 @@ pub enum L3Message {
     PagingType1,
 }
 
-impl L3Message {
-    /// All message types, in declaration order — the snapshot tag space.
-    const ALL: [L3Message; 12] = [
-        L3Message::RrcConnectionRequest,
-        L3Message::RrcConnectionSetup,
-        L3Message::RrcConnectionSetupComplete,
-        L3Message::RadioBearerSetup,
-        L3Message::RadioBearerSetupComplete,
-        L3Message::RadioBearerReconfiguration,
-        L3Message::TransportChannelReconfiguration,
-        L3Message::CellUpdate,
-        L3Message::CellUpdateConfirm,
-        L3Message::RrcConnectionRelease,
-        L3Message::RrcConnectionReleaseComplete,
-        L3Message::PagingType1,
-    ];
-}
-
-impl Snap for L3Message {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        let idx = L3Message::ALL
-            .iter()
-            .position(|m| m == self)
-            .expect("L3Message::ALL is exhaustive");
-        w.put_u8(idx as u8);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let idx = r.take_u8()? as usize;
-        L3Message::ALL
-            .get(idx)
-            .copied()
-            .ok_or_else(|| SnapshotError::Corrupt(format!("l3 message tag {idx}")))
-    }
-}
+snap_enum!(L3Message "l3 message" {
+    0 => RrcConnectionRequest,
+    1 => RrcConnectionSetup,
+    2 => RrcConnectionSetupComplete,
+    3 => RadioBearerSetup,
+    4 => RadioBearerSetupComplete,
+    5 => RadioBearerReconfiguration,
+    6 => TransportChannelReconfiguration,
+    7 => CellUpdate,
+    8 => CellUpdateConfirm,
+    9 => RrcConnectionRelease,
+    10 => RrcConnectionReleaseComplete,
+    11 => PagingType1,
+});
 
 impl fmt::Display for L3Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -106,20 +86,11 @@ pub struct CapturedMessage {
     pub message: L3Message,
 }
 
-impl Snap for CapturedMessage {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.time.snap(w);
-        self.device.snap(w);
-        self.message.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(CapturedMessage {
-            time: SimTime::unsnap(r)?,
-            device: DeviceId::unsnap(r)?,
-            message: L3Message::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(CapturedMessage {
+    time,
+    device,
+    message
+});
 
 /// The layer-3 capture log — the simulation's NetOptiMaster.
 ///
@@ -242,20 +213,11 @@ impl SignalingCapture {
     }
 }
 
-impl Snap for SignalingCapture {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.compact);
-        w.put_u64(self.counted);
-        self.entries.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SignalingCapture {
-            compact: r.take_bool()?,
-            counted: r.take_u64()?,
-            entries: Vec::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(SignalingCapture {
+    compact,
+    counted,
+    entries
+});
 
 #[cfg(test)]
 mod tests {

@@ -13,6 +13,7 @@
 
 use hbr_energy::{MilliAmps, Phase, Segment};
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::{snap_enum, snap_struct};
 use hbr_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -57,23 +58,11 @@ impl RrcState {
     }
 }
 
-impl Snap for RrcState {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            RrcState::Idle => 0,
-            RrcState::CellDch => 1,
-            RrcState::CellFach => 2,
-        });
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(RrcState::Idle),
-            1 => Ok(RrcState::CellDch),
-            2 => Ok(RrcState::CellFach),
-            t => Err(SnapshotError::Corrupt(format!("rrc state tag {t}"))),
-        }
-    }
-}
+snap_enum!(RrcState "rrc state" {
+    0 => Idle,
+    1 => CellDch,
+    2 => CellFach,
+});
 
 /// One observed RRC state change, with how long the radio dwelt in the
 /// state it left — the raw material for state-residency histograms.
@@ -172,22 +161,12 @@ impl StateOccupancy {
     }
 }
 
-impl Snap for StateOccupancy {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.idle_secs);
-        w.put_f64(self.dch_secs);
-        w.put_f64(self.active_secs);
-        w.put_f64(self.fach_secs);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(StateOccupancy {
-            idle_secs: r.take_f64()?,
-            dch_secs: r.take_f64()?,
-            active_secs: r.take_f64()?,
-            fach_secs: r.take_f64()?,
-        })
-    }
-}
+snap_struct!(StateOccupancy {
+    idle_secs,
+    dch_secs,
+    active_secs,
+    fach_secs
+});
 
 /// A per-device cellular radio with a lazily evaluated RRC state machine.
 ///
@@ -491,7 +470,7 @@ impl CellularRadio {
     /// Rebuilds a radio from `cfg` plus the dynamic state written by
     /// [`CellularRadio::snap_dyn`].
     pub fn unsnap_dyn(cfg: RrcConfig, r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(CellularRadio {
+        let radio = CellularRadio {
             cfg,
             state: RrcState::unsnap(r)?,
             state_since: SimTime::unsnap(r)?,
@@ -501,7 +480,21 @@ impl CellularRadio {
             total_transmissions: r.take_u64()?,
             total_bytes: r.take_u64()?,
             occupancy: StateOccupancy::unsnap(r)?,
-        })
+        };
+        // A connected radio is never accounted past its tail timer:
+        // `advance` demotes first.
+        let tail = match radio.state {
+            RrcState::Idle => None,
+            RrcState::CellDch => Some(radio.cfg.dch_tail),
+            RrcState::CellFach => Some(radio.cfg.fach_tail),
+        };
+        if tail.is_some_and(|tail| radio.accounted_until > radio.state_since.saturating_add(tail)) {
+            return Err(SnapshotError::Corrupt(format!(
+                "radio accounted to {} past its {:?} tail",
+                radio.accounted_until, radio.state
+            )));
+        }
+        Ok(radio)
     }
 
     /// Flushes all remaining tail occupancy up to `now`. Alias of

@@ -202,27 +202,25 @@ fn crowd(args: CrowdArgs, serve: bool) -> ExitCode {
                 shards,
                 roam,
             };
-            if profile_target == Some(m) {
-                let (report, p) = hbr_bench::run_crowd_profiled(&config);
-                profile = Some(p);
-                report
-            } else {
-                let controls = RunControls {
-                    checkpoint_dir: checkpoint_dir.clone(),
-                    checkpoint_every,
-                    crash_after_epoch: crash_after,
-                    heed_signals: true,
-                    on_epoch: emitter
-                        .as_ref()
-                        .filter(|_| serve)
-                        .map(|e| e as &(dyn Fn(u64, &EpochPulse) + Sync)),
-                };
-                let outcome = hbr_bench::run_crowd_controlled(&config, &controls);
-                if outcome.truncated {
-                    truncated_at.get_or_insert(outcome.epochs_done);
-                }
-                outcome.report
+            let controls = RunControls {
+                checkpoint_dir: checkpoint_dir.clone(),
+                checkpoint_every,
+                crash_after_epoch: crash_after,
+                heed_signals: true,
+                on_epoch: emitter
+                    .as_ref()
+                    .filter(|_| serve)
+                    .map(|e| e as &(dyn Fn(u64, &EpochPulse) + Sync)),
+                profile: profile_target == Some(m),
+            };
+            let outcome = hbr_bench::run_crowd_controlled(&config, &controls);
+            if outcome.truncated {
+                truncated_at.get_or_insert(outcome.epochs_done);
             }
+            if let Some(p) = outcome.profile {
+                profile = Some(p);
+            }
+            outcome.report
         })
         .collect();
     for ((name, _), report) in runs.iter().zip(&reports) {
@@ -309,6 +307,7 @@ fn resume(dir: &str, checkpoint_every: u64, out: &OutFlags) -> ExitCode {
         crash_after_epoch: None,
         heed_signals: true,
         on_epoch: Some(&emitter),
+        profile: out.profile_out.is_some(),
     };
     let outcome = match hbr_bench::resume_crowd(checkpoint, &controls) {
         Ok(o) => o,
@@ -343,6 +342,7 @@ fn resume(dir: &str, checkpoint_every: u64, out: &OutFlags) -> ExitCode {
         out.render_out.as_deref(),
         outcome.truncated,
     );
+    write_profile(outcome.profile.as_ref(), out.profile_out.as_deref());
     if outcome.truncated {
         ExitCode::FAILURE
     } else {

@@ -3,7 +3,8 @@
 //! then continued with `hbr resume` must produce all five artifacts —
 //! render, metrics, events, spans, SLO — byte-identical to a run that
 //! was never interrupted, at 1 and 8 shards, with roaming and a
-//! six-fault chaos plan active.
+//! six-fault chaos plan active. A profiled run (`--profile-out`) keeps
+//! every one of those controls.
 
 #![cfg(unix)]
 
@@ -235,5 +236,57 @@ fn serve_shuts_down_gracefully_and_resume_completes() {
             path.display()
         );
     }
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// `--profile-out` rides on the same controlled run as every other
+/// flag: a profiled run with `--checkpoint-dir` still writes its
+/// checkpoints, and `hbr resume --profile-out` profiles the epochs it
+/// resumes.
+#[test]
+fn profiled_runs_checkpoint_and_resume_writes_its_profile() {
+    let root = scratch("profile");
+    let ckpt = root.join("ckpt");
+    let trace = root.join("trace.json");
+    let status = Command::new(HBR)
+        .arg("crowd")
+        .args(scenario(2))
+        .arg("--checkpoint-dir")
+        .arg(&ckpt)
+        .arg("--profile-out")
+        .arg(&trace)
+        .output()
+        .expect("spawn hbr crowd (profiled)")
+        .status;
+    assert!(status.success(), "profiled run failed: {status:?}");
+    assert!(
+        ckpt.join("epoch-8.ckpt").is_file(),
+        "the profiled run writes its checkpoints"
+    );
+    let chrome = fs::read_to_string(&trace).expect("the profiled run writes its trace");
+    assert!(chrome.starts_with("{\"traceEvents\":["), "{chrome}");
+    assert!(root.join("BENCH_profile.json").is_file());
+
+    // Resume from barrier 7: the last epoch runs, profiled.
+    fs::remove_file(ckpt.join("epoch-8.ckpt")).unwrap();
+    let resumed = root.join("resumed");
+    fs::create_dir_all(&resumed).unwrap();
+    let status = Command::new(HBR)
+        .arg("resume")
+        .arg(&ckpt)
+        .arg("--profile-out")
+        .arg(resumed.join("trace.json"))
+        .output()
+        .expect("spawn hbr resume (profiled)")
+        .status;
+    assert!(status.success(), "profiled resume failed: {status:?}");
+    let chrome = fs::read_to_string(resumed.join("trace.json")).expect("resume writes its trace");
+    assert!(chrome.starts_with("{\"traceEvents\":["), "{chrome}");
+    let summary = fs::read_to_string(resumed.join("BENCH_profile.json")).unwrap();
+    assert!(summary.contains("\"epochs\":1,"), "{summary}");
+    assert!(
+        ckpt.join("epoch-8.ckpt").is_file(),
+        "resume checkpoints again"
+    );
     let _ = fs::remove_dir_all(&root);
 }

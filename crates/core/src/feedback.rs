@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use hbr_apps::{Heartbeat, MessageId};
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
 use hbr_sim::{SimDuration, SimTime};
 
 /// One forwarded heartbeat awaiting delivery confirmation.
@@ -225,41 +225,14 @@ impl FeedbackTracker {
     }
 }
 
-impl Snap for PendingForward {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.heartbeat.snap(w);
-        self.forwarded_at.snap(w);
-        self.deadline.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(PendingForward {
-            heartbeat: Heartbeat::unsnap(r)?,
-            forwarded_at: SimTime::unsnap(r)?,
-            deadline: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(PendingForward {
+    heartbeat,
+    forwarded_at,
+    deadline
+});
 
-impl Snap for FeedbackTracker {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.timeout.snap(w);
-        self.pending.snap(w);
-        w.put_u64(self.confirmed);
-        w.put_u64(self.fallbacks);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let timeout = SimDuration::unsnap(r)?;
-        if timeout.is_zero() {
-            return Err(SnapshotError::Corrupt("zero feedback timeout".into()));
-        }
-        Ok(FeedbackTracker {
-            timeout,
-            pending: BTreeMap::unsnap(r)?,
-            confirmed: r.take_u64()?,
-            fallbacks: r.take_u64()?,
-        })
-    }
-}
+snap_struct!(FeedbackTracker { timeout, pending, confirmed, fallbacks }
+    reject |f| f.timeout.is_zero() => "zero feedback timeout");
 
 #[cfg(test)]
 mod tests {

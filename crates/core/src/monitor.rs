@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use hbr_apps::{AppId, AppProfile, Heartbeat};
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
 use hbr_sim::SimDuration;
 
 /// Registry of apps that opted into the framework on one device.
@@ -112,20 +112,11 @@ impl MessageMonitor {
     }
 }
 
-impl Snap for MessageMonitor {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.apps.snap(w);
-        w.put_u64(self.intercepted);
-        w.put_u64(self.passed_through);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MessageMonitor {
-            apps: BTreeMap::unsnap(r)?,
-            intercepted: r.take_u64()?,
-            passed_through: r.take_u64()?,
-        })
-    }
-}
+snap_struct!(MessageMonitor {
+    apps,
+    intercepted,
+    passed_through
+});
 
 #[cfg(test)]
 mod tests {

@@ -26,7 +26,7 @@
 
 use hbr_apps::Heartbeat;
 use hbr_d2d::GoIntent;
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
 use hbr_sim::{SimDuration, SimTime, Summary};
 use serde::{Deserialize, Serialize};
 
@@ -335,56 +335,17 @@ impl MessageScheduler {
     }
 }
 
-impl Snap for SchedulerStats {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.flushes);
-        self.batch_sizes.snap(w);
-        self.queueing_delay_secs.snap(w);
-        w.put_u64(self.rejected);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SchedulerStats {
-            flushes: r.take_u64()?,
-            batch_sizes: Summary::unsnap(r)?,
-            queueing_delay_secs: Summary::unsnap(r)?,
-            rejected: r.take_u64()?,
-        })
-    }
-}
+snap_struct!(SchedulerStats {
+    flushes,
+    batch_sizes,
+    queueing_delay_secs,
+    rejected
+});
 
-impl Snap for MessageScheduler {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.capacity);
-        self.period.snap(w);
-        self.margin.snap(w);
-        self.period_start.snap(w);
-        w.put_bool(self.collecting);
-        w.put_bool(self.honor_expirations);
-        self.buffer.snap(w);
-        self.earliest_expiry.snap(w);
-        self.stats.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let capacity = r.take_usize()?;
-        let period = SimDuration::unsnap(r)?;
-        if capacity == 0 || period.is_zero() {
-            return Err(SnapshotError::Corrupt(
-                "scheduler capacity/period must be positive".into(),
-            ));
-        }
-        Ok(MessageScheduler {
-            capacity,
-            period,
-            margin: SimDuration::unsnap(r)?,
-            period_start: SimTime::unsnap(r)?,
-            collecting: r.take_bool()?,
-            honor_expirations: r.take_bool()?,
-            buffer: Vec::unsnap(r)?,
-            earliest_expiry: Option::unsnap(r)?,
-            stats: SchedulerStats::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(MessageScheduler {
+    capacity, period, margin, period_start, collecting, honor_expirations, buffer, earliest_expiry,
+    stats,
+} reject |s| s.capacity == 0 || s.period.is_zero() => "scheduler capacity/period must be positive");
 
 #[cfg(test)]
 mod tests {

@@ -36,7 +36,7 @@ use hbr_sim::telemetry::{
     EventRecord, MetricsSnapshot, SpanRecorder, Telemetry, TelemetryEvent, DWELL_BUCKETS,
     LATENCY_BUCKETS, RETRY_DEPTH_BUCKETS, SIZE_BUCKETS,
 };
-use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime, Simulation, TraceEntry, Tracer};
+use hbr_sim::{snap_enum, DeviceId, SimDuration, SimRng, SimTime, Simulation, TraceEntry, Tracer};
 
 use crate::config::{FrameworkConfig, RadioStack};
 use crate::delivery::{BackoffPolicy, DeliveryLedger, RetryReason};
@@ -1408,6 +1408,12 @@ impl Scenario {
     /// Lifecycle spans recorded so far (empty when spans are disabled).
     pub fn spans_so_far(&self) -> &SpanRecorder {
         &self.spans
+    }
+
+    /// Devices the scenario holds, immigrants and departed husks
+    /// included (its cell-local id space).
+    pub fn device_count(&self) -> usize {
+        self.devices.len()
     }
 
     /// Events currently pending in the engine queue — the backlog the
@@ -3192,113 +3198,27 @@ impl Scenario {
 // to an uninterrupted one.
 // ---------------------------------------------------------------------
 
-impl Snap for Role {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            Role::Relay => 0,
-            Role::Ue => 1,
-        });
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(Role::Relay),
-            1 => Ok(Role::Ue),
-            t => Err(SnapshotError::Corrupt(format!("role tag {t}"))),
-        }
-    }
-}
+snap_enum!(Role "role" {
+    0 => Relay,
+    1 => Ue,
+});
 
-impl Snap for Mode {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            Mode::D2dFramework => 0,
-            Mode::OriginalCellular => 1,
-        });
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(Mode::D2dFramework),
-            1 => Ok(Mode::OriginalCellular),
-            t => Err(SnapshotError::Corrupt(format!("mode tag {t}"))),
-        }
-    }
-}
+snap_enum!(Mode "mode" {
+    0 => D2dFramework,
+    1 => OriginalCellular,
+});
 
-impl Snap for Event {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        match self {
-            Event::HeartbeatDue { device, app_idx } => {
-                w.put_u8(0);
-                w.put_usize(*device);
-                w.put_usize(*app_idx);
-            }
-            Event::FlushDeadline { device, generation } => {
-                w.put_u8(1);
-                w.put_usize(*device);
-                w.put_u64(*generation);
-            }
-            Event::FeedbackSweep { device } => {
-                w.put_u8(2);
-                w.put_usize(*device);
-            }
-            Event::LinkReady { device } => {
-                w.put_u8(3);
-                w.put_usize(*device);
-            }
-            Event::PushDue { device, app_idx } => {
-                w.put_u8(4);
-                w.put_usize(*device);
-                w.put_usize(*app_idx);
-            }
-            Event::FaultDue { index } => {
-                w.put_u8(5);
-                w.put_usize(*index);
-            }
-            Event::OutageOver => w.put_u8(6),
-            Event::RelayRejoin { device } => {
-                w.put_u8(7);
-                w.put_usize(*device);
-            }
-            Event::DeliveryRetry { device } => {
-                w.put_u8(8);
-                w.put_usize(*device);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => Event::HeartbeatDue {
-                device: r.take_usize()?,
-                app_idx: r.take_usize()?,
-            },
-            1 => Event::FlushDeadline {
-                device: r.take_usize()?,
-                generation: r.take_u64()?,
-            },
-            2 => Event::FeedbackSweep {
-                device: r.take_usize()?,
-            },
-            3 => Event::LinkReady {
-                device: r.take_usize()?,
-            },
-            4 => Event::PushDue {
-                device: r.take_usize()?,
-                app_idx: r.take_usize()?,
-            },
-            5 => Event::FaultDue {
-                index: r.take_usize()?,
-            },
-            6 => Event::OutageOver,
-            7 => Event::RelayRejoin {
-                device: r.take_usize()?,
-            },
-            8 => Event::DeliveryRetry {
-                device: r.take_usize()?,
-            },
-            t => return Err(SnapshotError::Corrupt(format!("event tag {t}"))),
-        })
-    }
-}
+snap_enum!(Event "event" {
+    0 => HeartbeatDue { device, app_idx },
+    1 => FlushDeadline { device, generation },
+    2 => FeedbackSweep { device },
+    3 => LinkReady { device },
+    4 => PushDue { device, app_idx },
+    5 => FaultDue { index },
+    6 => OutageOver,
+    7 => RelayRejoin { device },
+    8 => DeliveryRetry { device },
+});
 
 impl Device {
     /// Serializes the device. The radio config and D2D tech profile are
@@ -3513,7 +3433,7 @@ impl Scenario {
     /// crowd-engine checkpoints.
     fn snap_body(&self, w: &mut SnapshotWriter) {
         self.sim.snap(w);
-        w.put_u64(self.devices.len() as u64);
+        w.put_usize(self.devices.len());
         for dev in &self.devices {
             dev.snap_dyn(w);
         }
@@ -3550,7 +3470,7 @@ impl Scenario {
     /// dynamic state is replaced.
     fn unsnap_body(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.sim = Simulation::unsnap(r)?;
-        let n = r.take_u64()? as usize;
+        let n = r.take_usize()?;
         if n > r.remaining() {
             return Err(SnapshotError::Corrupt(format!("device count {n}")));
         }
@@ -3592,6 +3512,25 @@ impl Scenario {
         self.telemetry = Telemetry::unsnap(r)?;
         self.spans = SpanRecorder::unsnap(r)?;
         self.config.faults = FaultPlan::unsnap(r)?;
+        // The crowd merge maps every device an event or span names
+        // through the cell's id map: each must be one of this cell's.
+        let n = self.devices.len();
+        let stray = std::cell::Cell::new(None);
+        let probe = |d: u32| {
+            if d as usize >= n {
+                stray.set(Some(d));
+            }
+            d
+        };
+        for record in self.telemetry.events.records() {
+            record.event.clone().remap_devices(probe);
+        }
+        self.spans.remap_devices(probe);
+        if let Some(d) = stray.get() {
+            return Err(SnapshotError::Corrupt(format!(
+                "an event or span names device {d} of {n}"
+            )));
+        }
         Ok(())
     }
 }

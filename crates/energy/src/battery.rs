@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
 use serde::{Deserialize, Serialize};
 
 use crate::units::MicroAmpHours;
@@ -91,28 +91,12 @@ impl Battery {
     }
 }
 
-impl Snap for Battery {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.capacity.snap(w);
-        self.drained.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let capacity = MicroAmpHours::unsnap(r)?;
-        let drained = MicroAmpHours::unsnap(r)?;
-        // `partial_cmp`, not `<=`: a NaN capacity must be rejected too.
-        if capacity.partial_cmp(&MicroAmpHours::ZERO) != Some(std::cmp::Ordering::Greater) {
-            return Err(SnapshotError::Corrupt(format!(
-                "battery capacity {capacity}"
-            )));
-        }
-        if drained > capacity {
-            return Err(SnapshotError::Corrupt(format!(
-                "battery drained {drained} past capacity {capacity}"
-            )));
-        }
-        Ok(Battery { capacity, drained })
-    }
-}
+snap_struct!(Battery { capacity, drained }
+    // `partial_cmp`, not `<=`: a NaN capacity must be rejected too.
+    reject |b| b.capacity.partial_cmp(&MicroAmpHours::ZERO) != Some(std::cmp::Ordering::Greater)
+        => format!("battery capacity {}", b.capacity),
+    reject |b| b.drained > b.capacity
+        => format!("battery drained {} past capacity {}", b.drained, b.capacity));
 
 impl fmt::Display for Battery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
 use hbr_sim::{SimDuration, SimTime};
 
 use crate::phase::{Phase, PhaseGroup};
@@ -196,22 +196,12 @@ impl EnergyMeter {
     }
 }
 
-impl Snap for EnergyMeter {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.compact);
-        self.total.snap(w);
-        self.by_phase.snap(w);
-        self.segments.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(EnergyMeter {
-            compact: r.take_bool()?,
-            total: MicroAmpHours::unsnap(r)?,
-            by_phase: BTreeMap::unsnap(r)?,
-            segments: Vec::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(EnergyMeter {
+    compact,
+    total,
+    by_phase,
+    segments
+});
 
 #[cfg(test)]
 mod tests {

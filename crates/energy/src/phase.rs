@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_enum;
 use serde::{Deserialize, Serialize};
 
 /// Fine-grained activity that a current segment is attributed to.
@@ -61,23 +61,17 @@ impl Phase {
     }
 }
 
-impl Snap for Phase {
-    /// Phases travel as their index into [`Phase::ALL`].
-    fn snap(&self, w: &mut SnapshotWriter) {
-        let idx = Phase::ALL
-            .iter()
-            .position(|p| p == self)
-            .expect("Phase::ALL is exhaustive");
-        w.put_u8(idx as u8);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let idx = r.take_u8()? as usize;
-        Phase::ALL
-            .get(idx)
-            .copied()
-            .ok_or_else(|| SnapshotError::Corrupt(format!("phase tag {idx}")))
-    }
-}
+snap_enum!(Phase "phase" {
+    0 => Baseline,
+    1 => D2dDiscovery,
+    2 => D2dConnection,
+    3 => D2dIdle,
+    4 => D2dSend,
+    5 => D2dReceive,
+    6 => CellularPromotion,
+    7 => CellularActive,
+    8 => CellularTail,
+});
 
 impl fmt::Display for Phase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

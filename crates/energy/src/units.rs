@@ -8,7 +8,7 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
 use hbr_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -111,31 +111,11 @@ impl MicroAmpHours {
     }
 }
 
-impl Snap for MilliAmps {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.0);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let ma = r.take_f64()?;
-        if !(ma.is_finite() && ma >= 0.0) {
-            return Err(SnapshotError::Corrupt(format!("current {ma} mA")));
-        }
-        Ok(MilliAmps(ma))
-    }
-}
+snap_struct!(MilliAmps { 0 }
+    reject |ma| !(ma.0.is_finite() && ma.0 >= 0.0) => format!("current {} mA", ma.0));
 
-impl Snap for MicroAmpHours {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.0);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let uah = r.take_f64()?;
-        if !(uah.is_finite() && uah >= 0.0) {
-            return Err(SnapshotError::Corrupt(format!("charge {uah} µAh")));
-        }
-        Ok(MicroAmpHours(uah))
-    }
-}
+snap_struct!(MicroAmpHours { 0 }
+    reject |uah| !(uah.0.is_finite() && uah.0 >= 0.0) => format!("charge {} µAh", uah.0));
 
 impl Add for MicroAmpHours {
     type Output = MicroAmpHours;

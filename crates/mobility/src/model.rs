@@ -14,7 +14,7 @@
 //! state from its last-updated instant to the requested instant, so the
 //! field only pays for movement when somebody asks for a position.
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::{snap_enum, snap_struct};
 use hbr_sim::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -73,22 +73,9 @@ impl Bounds {
     }
 }
 
-impl Snap for Bounds {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.min.snap(w);
-        self.max.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let min = Position::unsnap(r)?;
-        let max = Position::unsnap(r)?;
-        if !(min.x <= max.x && min.y <= max.y) {
-            return Err(SnapshotError::Corrupt(format!(
-                "bounds min {min} above max {max}"
-            )));
-        }
-        Ok(Bounds { min, max })
-    }
-}
+snap_struct!(Bounds { min, max }
+    reject |b| !(b.min.x <= b.max.x && b.min.y <= b.max.y)
+        => format!("bounds min {} above max {}", b.min, b.max));
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum Kind {
@@ -126,76 +113,13 @@ enum Kind {
     },
 }
 
-impl Snap for Kind {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        match self {
-            Kind::Stationary => w.put_u8(0),
-            Kind::RandomWaypoint {
-                bounds,
-                speed_min,
-                speed_max,
-                pause_secs,
-                leg,
-                pause_left,
-            } => {
-                w.put_u8(1);
-                bounds.snap(w);
-                w.put_f64(*speed_min);
-                w.put_f64(*speed_max);
-                w.put_f64(*pause_secs);
-                leg.snap(w);
-                w.put_f64(*pause_left);
-            }
-            Kind::Linear { velocity } => {
-                w.put_u8(2);
-                w.put_f64(velocity.0);
-                w.put_f64(velocity.1);
-            }
-            Kind::LinearBounded { velocity, bounds } => {
-                w.put_u8(3);
-                w.put_f64(velocity.0);
-                w.put_f64(velocity.1);
-                bounds.snap(w);
-            }
-            Kind::Path {
-                legs,
-                current,
-                pause_left,
-            } => {
-                w.put_u8(4);
-                legs.snap(w);
-                w.put_usize(*current);
-                w.put_f64(*pause_left);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(Kind::Stationary),
-            1 => Ok(Kind::RandomWaypoint {
-                bounds: Bounds::unsnap(r)?,
-                speed_min: r.take_f64()?,
-                speed_max: r.take_f64()?,
-                pause_secs: r.take_f64()?,
-                leg: Option::unsnap(r)?,
-                pause_left: r.take_f64()?,
-            }),
-            2 => Ok(Kind::Linear {
-                velocity: (r.take_f64()?, r.take_f64()?),
-            }),
-            3 => Ok(Kind::LinearBounded {
-                velocity: (r.take_f64()?, r.take_f64()?),
-                bounds: Bounds::unsnap(r)?,
-            }),
-            4 => Ok(Kind::Path {
-                legs: Vec::unsnap(r)?,
-                current: r.take_usize()?,
-                pause_left: r.take_f64()?,
-            }),
-            t => Err(SnapshotError::Corrupt(format!("mobility kind tag {t}"))),
-        }
-    }
-}
+snap_enum!(Kind "mobility kind" {
+    0 => Stationary,
+    1 => RandomWaypoint { bounds, speed_min, speed_max, pause_secs, leg, pause_left },
+    2 => Linear { velocity },
+    3 => LinearBounded { velocity, bounds },
+    4 => Path { legs, current, pause_left },
+});
 
 /// A per-device movement process that can be advanced through time.
 ///
@@ -472,20 +396,11 @@ impl Mobility {
     }
 }
 
-impl Snap for Mobility {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.position.snap(w);
-        self.updated_at.snap(w);
-        self.kind.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Mobility {
-            position: Position::unsnap(r)?,
-            updated_at: SimTime::unsnap(r)?,
-            kind: Kind::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Mobility {
+    position,
+    updated_at,
+    kind
+});
 
 /// Advances one axis of a reflecting walk by `secs`, returning the new
 /// coordinate and (possibly sign-flipped) velocity component. The

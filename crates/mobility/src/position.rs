@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
 use serde::{Deserialize, Serialize};
 
 /// A point in the 2-D simulation plane, in metres.
@@ -71,20 +71,8 @@ impl Position {
     }
 }
 
-impl Snap for Position {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.x);
-        w.put_f64(self.y);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let x = r.take_f64()?;
-        let y = r.take_f64()?;
-        if x.is_nan() || y.is_nan() {
-            return Err(SnapshotError::Corrupt("NaN position".into()));
-        }
-        Ok(Position { x, y })
-    }
-}
+snap_struct!(Position { x, y }
+    reject |p| p.x.is_nan() || p.y.is_nan() => "NaN position");
 
 impl Add for Position {
     type Output = Position;

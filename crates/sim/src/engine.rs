@@ -13,6 +13,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
+use crate::snap_struct;
 use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::{SimDuration, SimTime};
 
@@ -294,14 +295,7 @@ impl<E> Simulation<E> {
     }
 }
 
-impl Snap for EventId {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.0);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(EventId(r.take_u64()?))
-    }
-}
+snap_struct!(EventId { 0 });
 
 impl<E: Snap> Snap for Simulation<E> {
     /// Serializes the clock, the id/seq counters and the live entries in

@@ -21,12 +21,30 @@
 //!   identical bytes.
 //! * `&'static str` labels (trace labels, span kinds, event causes)
 //!   serialize as strings and re-intern on read via [`intern`].
+//! * Hash maps and sets serialize sorted, exactly like the `BTreeMap` /
+//!   sorted `Vec` holding the same entries.
 //!
 //! Every read returns a typed [`SnapshotError`] — a corrupted or
 //! truncated snapshot must never panic or half-apply.
+//!
+//! # One field list per type
+//!
+//! A type whose wire form is its fields in order implements [`Snap`]
+//! with [`snap_struct!`](crate::snap_struct); an enum written as one
+//! `u8` tag followed by the variant's fields uses
+//! [`snap_enum!`](crate::snap_enum). Each macro takes one list and
+//! generates both directions from it, and the read side builds the
+//! value with a struct literal or an exhaustive `match`, so a field or
+//! variant cannot be added to one direction and forgotten in the other.
+//! Only types whose wire form is *not* their field list stay
+//! hand-written: the event queue, the mobility field, histograms, the
+//! RNG and the span recorder's open-span index, and the `snap_dyn` /
+//! `unsnap_dyn` pairs that take part of their state from the scenario
+//! config instead of the snapshot.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::{Mutex, OnceLock};
 
 use crate::ids::DeviceId;
@@ -34,7 +52,7 @@ use crate::time::{SimDuration, SimTime};
 
 /// Version stamped into every snapshot header. Bump on ANY wire-format
 /// change — CI carries a gate that fails when the format fingerprint
-/// changes without a bump (see `tests/snapshot_roundtrip.rs`).
+/// changes without a bump (see `tests/snapshot_format.rs`).
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Magic prefix of a per-scenario snapshot.
@@ -348,6 +366,16 @@ impl Snap for String {
     }
 }
 
+/// Labels travel as strings and come back re-interned.
+impl Snap for &'static str {
+    fn snap(&self, w: &mut SnapshotWriter) {
+        w.put_str(self);
+    }
+    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(intern(&r.take_string()?))
+    }
+}
+
 impl Snap for SimTime {
     fn snap(&self, w: &mut SnapshotWriter) {
         w.put_u64(self.as_micros());
@@ -419,6 +447,19 @@ impl<T: Snap> Snap for Vec<T> {
     }
 }
 
+/// Same wire form as `Vec`.
+impl<T: Snap> Snap for VecDeque<T> {
+    fn snap(&self, w: &mut SnapshotWriter) {
+        w.put_usize(self.len());
+        for item in self {
+            item.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Vec::unsnap(r)?.into())
+    }
+}
+
 impl<A: Snap, B: Snap> Snap for (A, B) {
     fn snap(&self, w: &mut SnapshotWriter) {
         self.0.snap(w);
@@ -466,6 +507,159 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     }
 }
 
+/// Same wire form as the `BTreeMap` of the same entries. Entries are
+/// written in key order so the bytes never depend on hash order; a
+/// repeated key on read keeps the last value.
+impl<K: Snap + Ord + Hash, V: Snap> Snap for HashMap<K, V> {
+    fn snap(&self, w: &mut SnapshotWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.put_usize(entries.len());
+        for (k, v) in entries {
+            k.snap(w);
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Vec::<(K, V)>::unsnap(r)?.into_iter().collect())
+    }
+}
+
+/// Same wire form as the sorted `Vec` of the same items; a repeated
+/// item on read is kept once.
+impl<T: Snap + Ord + Hash> Snap for HashSet<T> {
+    fn snap(&self, w: &mut SnapshotWriter) {
+        let mut items: Vec<&T> = self.iter().collect();
+        items.sort_unstable();
+        w.put_usize(items.len());
+        for item in items {
+            item.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Vec::unsnap(r)?.into_iter().collect())
+    }
+}
+
+/// Implements [`Snap`] for a struct whose wire form is its fields in
+/// the listed order. The read side builds the value with a struct
+/// literal, so leaving a field out of the list does not compile.
+///
+/// Optional `reject` clauses run after the read, each with the value
+/// bound by reference, and turn a true condition into
+/// [`SnapshotError::Corrupt`] with the given message:
+///
+/// ```
+/// use hbr_sim::snap_struct;
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Window {
+///     start: u64,
+///     end: u64,
+/// }
+///
+/// snap_struct!(Window { start, end }
+///     reject |v| v.end < v.start => format!("window ends at {} before {}", v.end, v.start));
+///
+/// # use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+/// let mut w = SnapshotWriter::new();
+/// Window { start: 5, end: 3 }.snap(&mut w);
+/// let bytes = w.into_bytes();
+/// assert!(Window::unsnap(&mut SnapshotReader::new(&bytes)).is_err());
+/// ```
+///
+/// Tuple structs list their field indices: `snap_struct!(Counter { 0 })`.
+#[macro_export]
+macro_rules! snap_struct {
+    (
+        $ty:ident { $($field:tt),+ $(,)? }
+        $(reject |$v:ident| $bad:expr => $why:expr),* $(,)?
+    ) => {
+        impl $crate::snapshot::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                $($crate::snapshot::Snap::snap(&self.$field, w);)+
+            }
+            fn unsnap(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::snapshot::SnapshotError> {
+                let value = $ty {
+                    $($field: $crate::snapshot::Snap::unsnap(r)?,)+
+                };
+                $({
+                    let $v = &value;
+                    if $bad {
+                        return Err($crate::snapshot::SnapshotError::Corrupt(
+                            ::std::convert::Into::into($why),
+                        ));
+                    }
+                })*
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Implements [`Snap`] for an enum written as one `u8` tag followed by
+/// the variant's fields in the listed order. `$what` names the enum in
+/// the error for an unknown tag (`"{what} tag {n}"`). Both directions
+/// are exhaustive `match`es, so a variant without a tag, or a field
+/// missing from a variant's list, does not compile.
+///
+/// ```
+/// use hbr_sim::snap_enum;
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Light {
+///     Off,
+///     Dimmed { level: u8 },
+/// }
+///
+/// snap_enum!(Light "light" {
+///     0 => Off,
+///     1 => Dimmed { level },
+/// });
+///
+/// # use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+/// let mut w = SnapshotWriter::new();
+/// Light::Dimmed { level: 7 }.snap(&mut w);
+/// assert_eq!(w.into_bytes(), [1, 7]);
+/// assert!(Light::unsnap(&mut SnapshotReader::new(&[2])).is_err());
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    (
+        $ty:ident $what:literal {
+            $($tag:literal => $variant:ident $({ $($field:ident),* $(,)? })?),+ $(,)?
+        }
+    ) => {
+        impl $crate::snapshot::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? => {
+                        w.put_u8($tag);
+                        $($($crate::snapshot::Snap::snap($field, w);)*)?
+                    })+
+                }
+            }
+            fn unsnap(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::snapshot::SnapshotError> {
+                Ok(match r.take_u8()? {
+                    $($tag => $ty::$variant $({
+                        $($field: $crate::snapshot::Snap::unsnap(r)?),*
+                    })?,)+
+                    tag => {
+                        return Err($crate::snapshot::SnapshotError::Corrupt(format!(
+                            concat!($what, " tag {}"),
+                            tag
+                        )));
+                    }
+                })
+            }
+        }
+    };
+}
+
 /// Re-interns a label read back from a snapshot as `&'static str`.
 /// The process-wide pool holds one leaked copy per distinct label; the
 /// label vocabulary is a small fixed set (trace labels, span kinds,
@@ -478,24 +672,6 @@ pub fn intern(s: &str) -> &'static str {
         return hit;
     }
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    pool.push(leaked);
-    leaked
-}
-
-/// Re-interns a histogram boundary slice as `&'static [f64]`. Same
-/// bounded-leak contract as [`intern`]: the workspace defines a handful
-/// of static bucket lists, so at most that many slices ever leak.
-pub fn intern_bounds(bounds: &[f64]) -> &'static [f64] {
-    static POOL: OnceLock<Mutex<Vec<&'static [f64]>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(Vec::new()));
-    let mut pool = pool.lock().expect("bounds pool lock");
-    if let Some(hit) = pool
-        .iter()
-        .find(|have| have.len() == bounds.len() && have.iter().zip(bounds).all(|(a, b)| a == b))
-    {
-        return hit;
-    }
-    let leaked: &'static [f64] = Box::leak(bounds.to_vec().into_boxed_slice());
     pool.push(leaked);
     leaked
 }
@@ -605,8 +781,6 @@ mod tests {
         let a = intern("feedback-timeout");
         let b = intern("feedback-timeout");
         assert!(std::ptr::eq(a, b));
-        let bounds = intern_bounds(&[1.0, 2.0]);
-        assert!(std::ptr::eq(bounds, intern_bounds(&[1.0, 2.0])));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 
 use std::collections::HashMap;
 
-use crate::snapshot::{intern, Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snap_struct;
+use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// One lifecycle annotation inside a span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -365,57 +366,32 @@ impl SpanRecorder {
     }
 }
 
-impl Snap for SpanEvent {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.t_us);
-        w.put_str(self.kind);
-        self.cause.map(|c| c.to_string()).snap(w);
-        self.attempt.snap(w);
-        self.relay.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SpanEvent {
-            t_us: r.take_u64()?,
-            kind: intern(&r.take_string()?),
-            cause: Option::<String>::unsnap(r)?.map(|c| intern(&c)),
-            attempt: Option::<u32>::unsnap(r)?,
-            relay: Option::<u32>::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(SpanEvent {
+    t_us,
+    kind,
+    cause,
+    attempt,
+    relay
+});
 
-impl Snap for Span {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.id);
-        w.put_u32(self.device);
-        w.put_u64(self.start_us);
-        self.end_us.snap(w);
-        self.outcome.map(|o| o.to_string()).snap(w);
-        w.put_u32(self.retries);
-        self.events.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Span {
-            id: r.take_u64()?,
-            device: r.take_u32()?,
-            start_us: r.take_u64()?,
-            end_us: Option::<u64>::unsnap(r)?,
-            outcome: Option::<String>::unsnap(r)?.map(|o| intern(&o)),
-            retries: r.take_u32()?,
-            events: Vec::<SpanEvent>::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Span {
+    id,
+    device,
+    start_us,
+    end_us,
+    outcome,
+    retries,
+    events
+});
 
 impl Snap for SpanRecorder {
-    /// The open-span map is serialized sorted by message id so the bytes
-    /// are deterministic; the slots index back into `spans`.
+    /// The open-span map is written sorted by message id (the `HashMap`
+    /// wire form). Reading stays hand-written: every slot must index
+    /// into `spans`, and a repeated id is corrupt, not overwritten.
     fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.enabled);
+        self.enabled.snap(w);
         self.spans.snap(w);
-        let mut open: Vec<(u64, usize)> = self.open.iter().map(|(&k, &v)| (k, v)).collect();
-        open.sort_unstable();
-        open.snap(w);
+        self.open.snap(w);
     }
     fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let enabled = r.take_bool()?;

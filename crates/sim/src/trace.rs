@@ -9,7 +9,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use crate::snapshot::{intern, Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snap_struct;
 use crate::time::SimTime;
 
 /// One recorded trace line.
@@ -152,50 +152,15 @@ impl Tracer {
     }
 }
 
-impl Snap for TraceEntry {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.time.snap(w);
-        w.put_str(self.label);
-        w.put_str(&self.detail);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TraceEntry {
-            time: SimTime::unsnap(r)?,
-            label: intern(&r.take_string()?),
-            detail: r.take_string()?,
-        })
-    }
-}
+snap_struct!(TraceEntry {
+    time,
+    label,
+    detail
+});
 
-impl Snap for Tracer {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.capacity);
-        w.put_u64(self.dropped);
-        w.put_usize(self.entries.len());
-        for entry in &self.entries {
-            entry.snap(w);
-        }
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let capacity = r.take_usize()?;
-        let dropped = r.take_u64()?;
-        let len = r.take_usize()?;
-        if len > capacity || len > r.remaining() {
-            return Err(SnapshotError::Corrupt(format!(
-                "tracer holds {len} entries with capacity {capacity}"
-            )));
-        }
-        let mut entries = VecDeque::with_capacity(capacity.min(4096));
-        for _ in 0..len {
-            entries.push_back(TraceEntry::unsnap(r)?);
-        }
-        Ok(Tracer {
-            capacity,
-            entries,
-            dropped,
-        })
-    }
-}
+snap_struct!(Tracer { capacity, dropped, entries }
+    reject |t| t.entries.len() > t.capacity
+        => format!("tracer holds {} entries with capacity {}", t.entries.len(), t.capacity));
 
 #[cfg(test)]
 mod tests {

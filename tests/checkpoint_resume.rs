@@ -292,13 +292,87 @@ fn corrupt_and_truncated_checkpoints_are_typed_errors_not_panics() {
         );
     }
 
-    // Single-byte flips throughout the file must never panic.
-    for at in (0..good.len()).step_by(97) {
+    // Single-byte flips must never panic: not in the loader, and not in
+    // a resume of whatever the loader accepts. Every byte of the header
+    // and the embedded config at the front is flipped, then a sample of
+    // the rest.
+    for at in (0..128).chain((128..good.len()).step_by(97)) {
         let mut bad = good.clone();
         bad[at] ^= 0xff;
         fs::write(&scratch, &bad).unwrap();
-        let _ = load_checkpoint(&scratch);
+        if let Ok(ckpt) = load_checkpoint(&scratch) {
+            let _ = resume_crowd(ckpt, &RunControls::default());
+        }
     }
+
+    // Configs the engine cannot run are refused at load, before any
+    // fleet is built. The config follows the 12-byte header as
+    // phones, relays, hours, area, seed, push minutes (8 bytes each).
+    let field = |name: &str| {
+        12 + 8 * ["phones", "relays", "hours", "area", "seed", "push"]
+            .iter()
+            .position(|f| *f == name)
+            .unwrap()
+    };
+    let unrunnable = [
+        ("phones", 0),
+        ("hours", 0),
+        ("relays", 15),
+        ("hours", u64::MAX / 3600 + 1),
+        ("hours", u64::MAX / 3_600_000_000 + 1),
+        ("push", u64::MAX / 60_000_000 + 1),
+        // 13 phones leave global id 13 without a phone; 15 are more
+        // than the 14 ids the cells carry; 2^64 - 1 must not allocate.
+        ("phones", 13),
+        ("phones", 15),
+        ("phones", u64::MAX),
+    ];
+    for (name, value) in unrunnable {
+        let mut bad = good.clone();
+        let at = field(name);
+        bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        fs::write(&scratch, &bad).unwrap();
+        let loaded = load_checkpoint(&scratch);
+        assert!(
+            matches!(loaded, Err(SnapshotError::Corrupt(_))),
+            "{name} = {value} must be refused, got {:?}",
+            loaded.err()
+        );
+    }
+
+    // `config` is a public field: resume checks it again.
+    let mut edited = load_checkpoint(&path).unwrap();
+    edited.config.relays = edited.config.phones + 1;
+    assert!(matches!(
+        resume_crowd(edited, &RunControls::default()),
+        Err(SnapshotError::Corrupt(_))
+    ));
+
+    // A cell's id map must name that cell's devices. Swapping two ids
+    // inside a cell's map keeps every id valid and every phone placed,
+    // yet maps the cell's devices to the wrong phones. A map is the
+    // `u64` count and `u32` ids just before the cell's blob length and
+    // scenario magic; take the first cell with two or more phones.
+    let first = good
+        .windows(8)
+        .enumerate()
+        .filter(|(_, w)| *w == b"HBRSNAP\0")
+        .find_map(|(blob, _)| {
+            let ids_end = blob - 8;
+            let count = (1..=fleet.phones).find(|&n| {
+                let at = ids_end - 4 * n - 8;
+                u64::from_le_bytes(good[at..at + 8].try_into().unwrap()) == n as u64
+            })?;
+            (count >= 2).then_some(ids_end - 4 * count)
+        })
+        .expect("some cell maps two or more phones");
+    let mut bad = good.clone();
+    bad[first..first + 8].rotate_left(4);
+    fs::write(&scratch, &bad).unwrap();
+    assert!(matches!(
+        resume_crowd(load_checkpoint(&scratch).unwrap(), &RunControls::default()),
+        Err(SnapshotError::Corrupt(_))
+    ));
 
     // Magic and version damage yield their specific errors.
     let mut bad = good.clone();

@@ -28,7 +28,7 @@ use d2d_heartbeat::energy::{Battery, MicroAmpHours, MilliAmps, Phase};
 use d2d_heartbeat::mobility::{Bounds, Mobility, Position};
 use d2d_heartbeat::sim::fault::FaultKind;
 use d2d_heartbeat::sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use d2d_heartbeat::sim::telemetry::TelemetryEvent;
+use d2d_heartbeat::sim::telemetry::{Histogram, TelemetryEvent};
 use d2d_heartbeat::sim::{DeviceId, SimDuration, SimTime, Tracer};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -648,6 +648,10 @@ fn every_post_read_check_refuses_its_case() {
         (
             refusal::<Tracer>(&patched(encode(&full_tracer), 0, zero)),
             "tracer holds 1 entries with capacity 0",
+        ),
+        (
+            refusal::<Histogram>(&encode(&Histogram::new(&[1.0, 2.0]))),
+            "histogram bounds [1.0, 2.0] match no schema",
         ),
         (refusal::<Phase>(&[9]), "phase tag 9"),
         (refusal::<LinkState>(&[3]), "link state tag 3"),
